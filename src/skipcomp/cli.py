@@ -291,16 +291,15 @@ def cmd_distance(args: argparse.Namespace, config: RunConfig) -> int:
     draws = distances.sample_ordered_distances_array(
         lam, rng, min(config.simulation.trials, 100_000)
     )
-    rows = []
-    for r1, r2, r3 in draws:
-        rows.append([
-            r1, r2, r3,
-            distances.joint_pdf_r123(r1, r2, r3, lam),
-            distances.marginal_pdf_r1(r1, lam),
-            distances.marginal_pdf_r2(r2, lam),
-            distances.joint_pdf_r2_r3(r2, r3, lam),
-            distances.conditional_pdf_r1_given_r2(r1, r2),
-        ])
+    r1, r2, r3 = draws.T
+    rows = np.column_stack([
+        draws,
+        distances.joint_pdf_r123(r1, r2, r3, lam),
+        distances.marginal_pdf_r1(r1, lam),
+        distances.marginal_pdf_r2(r2, lam),
+        distances.joint_pdf_r2_r3(r2, r3, lam),
+        distances.conditional_pdf_r1_given_r2(r1, r2),
+    ]).tolist()
     _write(args.out, args.format, config,
            ["r1_km", "r2_km", "r3_km", "joint_pdf_r1_r2_r3", "marginal_pdf_r1",
             "marginal_pdf_r2", "joint_pdf_r2_r3", "conditional_pdf_r1_given_r2"],

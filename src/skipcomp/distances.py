@@ -1,9 +1,13 @@
 """Ordered nearest-BS distance distributions for a homogeneous PPP.
 
-For a test user at the origin, the squared distance to the k-th nearest BS is
-Gamma(k, rate pi*lambda).  The joint law of (r1, r2, r3) factorizes as the
-marginal of r3 times the order statistics of two iid draws with density
-2r/r3^2 on [0, r3], which gives an exact rejection-free sampler.
+For a test user at the origin, the squared distances to the BSs of a planar
+PPP of intensity lambda form a 1-D PPP of rate pi*lambda (mapping theorem), so
+the squared distance to the k-th nearest BS is the sum of k iid Exp(pi*lambda)
+gaps.  Cumulative sums of such gaps give the k nearest BSs exactly and already
+sorted; the Monte Carlo oracle and the (r1, r2, r3) sampler both draw them so.
+
+The densities accept floats or numpy arrays (evaluated elementwise); a scalar
+call returns a float.
 """
 
 from __future__ import annotations
@@ -29,67 +33,86 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"intensity must be > 0, got {lam}")
 
 
-def _check_nonneg(*values: float) -> None:
+def _check_nonneg(*values) -> None:
     for v in values:
-        if v < 0:
-            raise ValueError(f"distances must be >= 0, got {v}")
+        if (v < 0).any() if isinstance(v, np.ndarray) else v < 0:
+            raise ValueError(f"distances must be >= 0, got {np.min(v)}")
 
 
-def joint_pdf_r123(x: float, y: float, z: float, lam: float) -> float:
+# Scalars take the math module, arrays numpy: a density is written once and
+# costs a scalar caller (a quadrature integrand) no array overhead.
+
+def _exp(v):
+    return np.exp(v) if isinstance(v, np.ndarray) else math.exp(v)
+
+
+def _density(value, inside):
+    """value where inside holds and 0 elsewhere."""
+    if isinstance(inside, np.ndarray):
+        return np.where(inside, value, 0.0)
+    return float(value) if inside else 0.0
+
+
+def joint_pdf_r123(x, y, z, lam: float):
     """Joint density of the three ordered nearest-BS distances, km^-3."""
     _check_lambda(lam)
     _check_nonneg(x, y, z)
-    if not (x <= y <= z):
-        return 0.0
-    return (2.0 * math.pi * lam) ** 3 * x * y * z * math.exp(-math.pi * lam * z * z)
+    a = math.pi * lam
+    return _density((2.0 * a) ** 3 * x * y * z * _exp(-a * z * z),
+                    (x <= y) & (y <= z))
 
 
-def marginal_pdf_r1(r: float, lam: float) -> float:
+def marginal_pdf_r1(r, lam: float):
     """Rayleigh density of the nearest-BS distance."""
     _check_lambda(lam)
     _check_nonneg(r)
-    return 2.0 * math.pi * lam * r * math.exp(-math.pi * lam * r * r)
+    a = math.pi * lam
+    return 2.0 * a * r * _exp(-a * r * r)
 
 
-def marginal_pdf_r2(y: float, lam: float) -> float:
+def marginal_pdf_r2(y, lam: float):
     """Density of the second-nearest-BS distance."""
     _check_lambda(lam)
     _check_nonneg(y)
-    return 2.0 * (math.pi * lam) ** 2 * y ** 3 * math.exp(-math.pi * lam * y * y)
+    a = math.pi * lam
+    return 2.0 * a ** 2 * y ** 3 * _exp(-a * y * y)
 
 
-def joint_pdf_r2_r3(y: float, z: float, lam: float) -> float:
+def joint_pdf_r2_r3(y, z, lam: float):
     """Joint density of the second and third nearest-BS distances."""
     _check_lambda(lam)
     _check_nonneg(y, z)
-    if y > z:
-        return 0.0
-    return 4.0 * (math.pi * lam) ** 3 * y ** 3 * z * math.exp(-math.pi * lam * z * z)
+    a = math.pi * lam
+    return _density(4.0 * a ** 3 * y ** 3 * z * _exp(-a * z * z), y <= z)
 
 
-def conditional_pdf_r1_given_r2(x: float, r2: float) -> float:
+def conditional_pdf_r1_given_r2(x, r2):
     """Density of the nearest-BS distance given the second-nearest at r2."""
-    if not (r2 > 0):
-        raise ValueError(f"r2 must be > 0, got {r2}")
+    if not ((r2 > 0).all() if isinstance(r2, np.ndarray) else r2 > 0):
+        raise ValueError(f"r2 must be > 0, got {np.min(r2)}")
     _check_nonneg(x)
-    if x > r2:
-        return 0.0
-    return 2.0 * x / (r2 * r2)
+    return _density(2.0 * x / (r2 * r2), x <= r2)
+
+
+def sample_ordered_squared_distances(lam: float, rng: np.random.Generator,
+                                     size: int, k: int) -> np.ndarray:
+    """Squared distances (km^2) to the k nearest BSs, shape (size, k), ascending.
+
+    Row i is the cumulative sum of k iid Exp(pi*lambda) gaps: exact, with no
+    count, window or sort.
+    """
+    _check_lambda(lam)
+    d2 = rng.standard_exponential((size, k))
+    np.cumsum(d2, axis=1, out=d2)
+    d2 *= 1.0 / (math.pi * lam)
+    return d2
 
 
 def sample_ordered_distances_array(
     lam: float, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Draw `size` exact (r1, r2, r3) triples; returns an array of shape (size, 3).
-
-    r3^2 is Gamma(3, rate pi*lambda); r1, r2 are the order statistics of two
-    iid draws with density 2r/r3^2 on [0, r3].
-    """
-    _check_lambda(lam)
-    r3 = np.sqrt(rng.gamma(shape=3.0, scale=1.0 / (math.pi * lam), size=size))
-    inner = r3[:, None] * np.sqrt(rng.random((size, 2)))
-    inner.sort(axis=1)
-    return np.column_stack([inner, r3])
+    """Draw `size` exact (r1, r2, r3) triples; returns an array of shape (size, 3)."""
+    return np.sqrt(sample_ordered_squared_distances(lam, rng, size, 3))
 
 
 def sample_ordered_distances(lam: float, rng: np.random.Generator) -> OrderedDistances:

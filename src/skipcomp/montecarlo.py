@@ -1,9 +1,26 @@
-"""Monte Carlo oracle: PPP realizations, Rayleigh fading, per-scheme SINR.
+"""Monte Carlo oracle: the K nearest BSs of a PPP, Rayleigh fading, per-scheme SINR.
+
+Geometry.  Squared distances from the origin to a planar PPP of intensity
+lambda form a 1-D PPP of rate pi*lambda, so each trial draws the K nearest BSs
+exactly, already sorted, as cumulative sums of Exp(pi*lambda) gaps
+(``distances.sample_ordered_squared_distances``).  BSs beyond the K-th are
+ignored.  K = round(lambda*pi*R^2) is the expected BS count of a disc of
+radius R, where R is the configured ``window_radius_km`` or, by default, the
+radius holding 500 BSs on average (so K = 500).
+
+Fading.  BSs 2 and 3 get complex Gaussian gains, which the coherent and
+non-coherent CoMP numerators need; every other BS gets an Exp(1) power.  Each
+variant's interference is a sum of non-negative terms (t1, t2, t3 and the
+tail beyond BS 3), never a difference, so a dominant nearest BS cannot cancel
+the tail.
 
 Randomness contract: trials are processed in fixed-size batches; batch b of a
 run with seed s uses an independent Philox counter-based stream keyed by
-(s, b).  Identical (seed, trials, batch_size, params) therefore reproduce
-results bit-exactly, and batches are independent by construction.
+(s, b), and draws, in order, the (n, K) distance gaps, the n powers of BS 1,
+the (n, K-3) tail powers and the (n, 2) real then imaginary parts of the
+gains of BSs 2 and 3.  Identical (seed, trials, batch_size, params) therefore
+reproduce results bit-exactly, the first k batches of a run equal a k-batch
+run, and batches are independent by construction.
 
 One realization yields the SINR of every scheme variant simultaneously (same
 fading and geometry), which keeps paired comparisons (coherent vs
@@ -19,10 +36,10 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .coverage import CoverageCurve, CurveSource
+from .distances import sample_ordered_squared_distances
 from .model import (
     Association,
     NetworkParams,
-    OrderedDistances,
     SchemeSpec,
     validate_scheme,
 )
@@ -40,10 +57,6 @@ ALL_VARIANTS = tuple(
         SchemeSpec(Association.SKIP_COOP, ic=True, coherent=True),
     )
 )
-
-
-class TooFewPoints(RuntimeError):
-    """A realization produced fewer than 3 BSs in the window."""
 
 
 def default_window_radius(lam: float, min_expected: float = 500.0) -> float:
@@ -78,23 +91,12 @@ class SimulationSpec:
 
 
 @dataclass(frozen=True)
-class SinrSample:
-    scheme: SchemeSpec
-    sinr: float
-    distances: OrderedDistances
-
-    def __post_init__(self):
-        if self.sinr < 0:
-            raise ValueError(f"sinr must be >= 0, got {self.sinr}")
-
-
-@dataclass(frozen=True)
 class SimulationResult:
     """Per-variant SINR arrays from a shared set of realizations."""
 
     sinr: Dict[str, np.ndarray]
     distances: np.ndarray  # (trials, 3)
-    redraws: int
+    redraws: int  # always 0: the K-nearest generator never redraws
     spec: SimulationSpec
     params: NetworkParams
 
@@ -103,123 +105,57 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), batch_index]))
 
 
-def sample_ppp(lam: float, window_radius: float,
-               rng: np.random.Generator) -> np.ndarray:
-    """One PPP realization on a disc around the origin; returns (n, 2) xy km."""
-    n = rng.poisson(lam * math.pi * window_radius ** 2)
-    r = window_radius * np.sqrt(rng.random(n))
-    theta = 2.0 * math.pi * rng.random(n)
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+def _batch_sinrs(params: NetworkParams, k: int, n: int,
+                 rng: np.random.Generator) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """SINRs of all variants for n independent realizations of the K nearest BSs."""
+    eta, p, s2 = params.eta, params.tx_power, params.noise_power
+    d2 = sample_ordered_squared_distances(params.lambda_bs, rng, n, k)
+    nearest = np.sqrt(d2[:, :3])
 
-
-def _batch_sinrs(params: NetworkParams, radius: float, n: int,
-                 rng: np.random.Generator) -> Tuple[Dict[str, np.ndarray], np.ndarray, int]:
-    """Vectorized SINRs of all variants for n independent realizations."""
-    lam, eta, p, s2 = params.lambda_bs, params.eta, params.tx_power, params.noise_power
-    mu = lam * math.pi * radius ** 2
-
-    counts = rng.poisson(mu, n)
-    redraws = 0
-    while (counts < 3).any():
-        low = counts < 3
-        redraws += int(low.sum())
-        counts[low] = rng.poisson(mu, int(low.sum()))
-    m = int(counts.max())
-
-    # Only distances matter for the SINR; angles are irrelevant by isotropy.
-    d = radius * np.sqrt(rng.random((n, m)))
-    d[np.arange(m)[None, :] >= counts[:, None]] = np.inf
-    d.sort(axis=1)
-
-    h = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
-    gain = np.where(np.isinf(d), 0.0, d ** (-eta))
-    power = np.abs(h) ** 2
-
-    total = p * (power * gain).sum(axis=1)
-    t1 = p * power[:, 0] * gain[:, 0]
-    t2 = p * power[:, 1] * gain[:, 1]
-    t3 = p * power[:, 2] * gain[:, 2]
-
-    amp2 = math.sqrt(p) * h[:, 1] * d[:, 1] ** (-eta / 2.0)
-    amp3 = math.sqrt(p) * h[:, 2] * d[:, 2] ** (-eta / 2.0)
-    num_coop = np.abs(amp2 + amp3) ** 2
-    num_coh = (np.abs(amp2) + np.abs(amp3)) ** 2
-    i_coop = total - t2 - t3
+    gain = p * np.power(d2, -0.5 * eta, out=d2)
+    t1 = gain[:, 0] * rng.standard_exponential(n)
+    tail = np.einsum("ij,ij->i", gain[:, 3:], rng.standard_exponential((n, k - 3)))
+    h = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) \
+        * np.sqrt(0.5 * gain[:, 1:3])  # received amplitudes of BSs 2 and 3
+    t2, t3 = (np.abs(h) ** 2).T
+    num_coop = np.abs(h[:, 0] + h[:, 1]) ** 2
+    num_coh = (np.abs(h[:, 0]) + np.abs(h[:, 1])) ** 2
 
     sinr = {
-        "best": t1 / (total - t1 + s2),
-        "skip": t2 / (total - t2 + s2),
-        "skip+ic": t2 / (total - t2 - t1 + s2),
-        "skip-comp": num_coop / (i_coop + s2),
-        "skip-comp+ic": num_coop / (i_coop - t1 + s2),
-        "skip-comp+coh": num_coh / (i_coop + s2),
-        "skip-comp+ic+coh": num_coh / (i_coop - t1 + s2),
+        "best": t1 / (t2 + t3 + tail + s2),
+        "skip": t2 / (t1 + t3 + tail + s2),
+        "skip+ic": t2 / (t3 + tail + s2),
+        "skip-comp": num_coop / (t1 + tail + s2),
+        "skip-comp+ic": num_coop / (tail + s2),
+        "skip-comp+coh": num_coh / (t1 + tail + s2),
+        "skip-comp+ic+coh": num_coh / (tail + s2),
     }
-    return sinr, d[:, :3].copy(), redraws
+    return sinr, nearest
 
 
 def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
     """Run the full simulation; one shared pass covers every scheme variant."""
     radius = spec.radius_for(params.lambda_bs)
+    k = round(params.lambda_bs * math.pi * radius * radius)
     keys = [s.scheme_id for s in ALL_VARIANTS]
-    chunks: Dict[str, list] = {k: [] for k in keys}
+    chunks: Dict[str, list] = {key: [] for key in keys}
     dist_chunks = []
-    redraws = 0
     done = 0
     batch = 0
     while done < spec.trials:
         n = min(spec.batch_size, spec.trials - done)
-        rng = _batch_rng(spec.seed, batch)
-        sinr, dists, rd = _batch_sinrs(params, radius, n, rng)
-        for k in keys:
-            chunks[k].append(sinr[k])
+        sinr, dists = _batch_sinrs(params, k, n, _batch_rng(spec.seed, batch))
+        for key in keys:
+            chunks[key].append(sinr[key])
         dist_chunks.append(dists)
-        redraws += rd
         done += n
         batch += 1
     return SimulationResult(
-        sinr={k: np.concatenate(chunks[k]) for k in keys},
+        sinr={key: np.concatenate(chunks[key]) for key in keys},
         distances=np.concatenate(dist_chunks),
-        redraws=redraws,
+        redraws=0,
         spec=spec,
         params=params,
-    )
-
-
-def sinr_sample(scheme: SchemeSpec, positions: np.ndarray,
-                rng: np.random.Generator, params: NetworkParams) -> SinrSample:
-    """SINR of one scheme for one explicit PPP realization."""
-    validate_scheme(scheme)
-    if len(positions) < 3:
-        raise TooFewPoints(f"need >= 3 BSs, got {len(positions)}")
-    eta, p, s2 = params.eta, params.tx_power, params.noise_power
-    d = np.sort(np.hypot(positions[:, 0], positions[:, 1]))
-    h = (rng.standard_normal(len(d)) + 1j * rng.standard_normal(len(d))) / math.sqrt(2.0)
-    gain = d ** (-eta)
-    power = np.abs(h) ** 2
-    total = p * (power * gain).sum()
-    t1, t2, t3 = (p * power[i] * gain[i] for i in range(3))
-
-    if scheme.association is Association.BEST_CONNECTED:
-        num, interf = t1, total - t1
-    elif scheme.association is Association.SKIP_NO_COOP:
-        num, interf = t2, total - t2
-        if scheme.ic:
-            interf -= t1
-    else:
-        amp2 = math.sqrt(p) * h[1] * d[1] ** (-eta / 2.0)
-        amp3 = math.sqrt(p) * h[2] * d[2] ** (-eta / 2.0)
-        if scheme.coherent:
-            num = (abs(amp2) + abs(amp3)) ** 2
-        else:
-            num = abs(amp2 + amp3) ** 2
-        interf = total - t2 - t3
-        if scheme.ic:
-            interf -= t1
-    return SinrSample(
-        scheme=scheme,
-        sinr=float(num / (interf + s2)),
-        distances=OrderedDistances(float(d[0]), float(d[1]), float(d[2])),
     )
 
 

@@ -1,0 +1,30 @@
+"""The benchmark harness still runs against the program, checks and all.
+
+``perfbench/run.py --smoke`` runs every job of a workload at tiny sizes,
+checks each output and prints one JSON result line last.  A renamed function
+that the harness or its tracer relies on shows up here as a failed job or a
+crash.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("workload", ["paper-mc", "regime-mc"])
+def test_benchmark_smoke_run_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout[-2000:]
+    assert result["failed"] == 0
+    assert result["attempted"] > 0

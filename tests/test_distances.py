@@ -62,6 +62,36 @@ def test_conditional_pdf_endpoint_and_support():
     assert conditional_pdf_r1_given_r2(0.4, 0.3) == 0.0
 
 
+def test_array_densities_match_scalar_calls():
+    lam = 50.0
+    pts = sample_ordered_distances_array(lam, rng(8), 200)
+    pts[::7] = pts[::7, ::-1]  # some triples out of order: zero density there
+    x, y, z = pts.T
+    arrays = {
+        "joint123": joint_pdf_r123(x, y, z, lam),
+        "r1": marginal_pdf_r1(x, lam),
+        "r2": marginal_pdf_r2(y, lam),
+        "joint23": joint_pdf_r2_r3(y, z, lam),
+        "cond": conditional_pdf_r1_given_r2(x, y),
+    }
+    for i, (a, b, c) in enumerate(pts.tolist()):
+        scalars = {
+            "joint123": joint_pdf_r123(a, b, c, lam),
+            "r1": marginal_pdf_r1(a, lam),
+            "r2": marginal_pdf_r2(b, lam),
+            "joint23": joint_pdf_r2_r3(b, c, lam),
+            "cond": conditional_pdf_r1_given_r2(a, b),
+        }
+        for key, value in scalars.items():
+            assert isinstance(value, float)
+            assert arrays[key][i] == pytest.approx(value, rel=1e-14, abs=0.0), key
+    assert (arrays["joint123"][::7] == 0.0).all()
+    with pytest.raises(ValueError):
+        marginal_pdf_r1(np.array([0.1, -0.1]), lam)
+    with pytest.raises(ValueError):
+        conditional_pdf_r1_given_r2(x, np.zeros_like(y))
+
+
 # --------------------------------------------------------------------------
 # Normalizations
 # --------------------------------------------------------------------------

@@ -5,17 +5,14 @@ import pytest
 from scipy import stats
 
 from skipcomp.coverage import best_connected_closed_form, coverage_curve
-from skipcomp.distances import marginal_pdf_r1
+from skipcomp.distances import sample_ordered_squared_distances
 from skipcomp.model import Association, NetworkParams, SchemeSpec
 from skipcomp.montecarlo import (
     ALL_VARIANTS,
     SimulationSpec,
-    TooFewPoints,
     coverage_from_result,
     default_window_radius,
-    sample_ppp,
     simulate,
-    sinr_sample,
     spectral_efficiency_from_result,
 )
 
@@ -30,23 +27,19 @@ def rng(seed=0):
 # PPP sampling
 # --------------------------------------------------------------------------
 
-def test_ppp_count_statistics():
-    lam, radius = 50.0, 1.0
-    g = rng(11)
-    counts = np.array([len(sample_ppp(lam, radius, g)) for _ in range(10_000)])
-    mu = lam * math.pi * radius ** 2
-    assert counts.mean() == pytest.approx(mu, abs=2.0)  # 157.1 +- 2
-    assert counts.var() == pytest.approx(mu, rel=0.05)  # Poisson: var = mean
+def test_ppp_squared_distance_gaps_are_exponential():
+    """Squared distances of a planar PPP form a 1-D PPP of rate pi*lambda."""
+    lam = 50.0
+    d2 = sample_ordered_squared_distances(lam, rng(11), 200, 50)
+    gaps = np.diff(d2, axis=1, prepend=0.0).ravel()
+    stat = stats.kstest(gaps, stats.expon(scale=1.0 / (math.pi * lam)).cdf).statistic
+    assert stat < 0.015
 
 
 def test_ppp_nearest_distance_matches_rayleigh():
-    lam, radius = 50.0, 1.0
-    g = rng(12)
-    nearest = []
-    for _ in range(20_000):
-        pts = sample_ppp(lam, radius, g)
-        if len(pts):
-            nearest.append(np.hypot(pts[:, 0], pts[:, 1]).min())
+    lam = 50.0
+    spec = SimulationSpec(trials=20_000, seed=12, window_radius=1.0)
+    nearest = simulate(NetworkParams(lambda_bs=lam, eta=4.0), spec).distances[:, 0]
     scale = 1.0 / math.sqrt(2.0 * math.pi * lam)
     stat = stats.kstest(nearest, stats.rayleigh(scale=scale).cdf).statistic
     assert stat < 0.015
@@ -156,49 +149,97 @@ def test_mc_curve_tracks_analytic_curve(big_mc):
 
 
 def test_window_truncation_negligible():
-    """Doubling the window changes best-connected coverage by < 0.3 pp.
+    """Doubling K changes best-connected coverage by < 0.3 pp.
 
-    Paired estimate: same realizations at radius 2R, interference computed
-    with and without the points beyond R.
+    Paired estimate: same realizations of the 2K nearest BSs, interference
+    summed over BSs 2..K and over BSs 2..2K.
     """
     lam, eta = NET.lambda_bs, NET.eta
-    r_small = default_window_radius(lam)
-    r_big = 2.0 * r_small
+    k = round(lam * math.pi * default_window_radius(lam) ** 2)
     trials = 5000
     deltas = []
     for t_db in (-10.0, 0.0, 10.0):
         t = 10 ** (t_db / 10)
-        covered_full = covered_trunc = 0
         g = rng(int(t_db) + 100)
-        for _ in range(trials):
-            pts = sample_ppp(lam, r_big, g)
-            while len(pts) < 3:
-                pts = sample_ppp(lam, r_big, g)
-            d = np.sort(np.hypot(pts[:, 0], pts[:, 1]))
-            h2 = g.exponential(1.0, len(d))
-            sig = h2[0] * d[0] ** -eta
-            rest = h2[1:] * d[1:] ** -eta
-            i_full = rest.sum()
-            i_trunc = rest[d[1:] <= r_small].sum()
-            covered_full += sig / i_full > t
-            covered_trunc += sig / i_trunc > t
+        rx = sample_ordered_squared_distances(lam, g, trials, 2 * k) ** (-eta / 2) \
+            * g.exponential(1.0, (trials, 2 * k))
+        sig = rx[:, 0]
+        covered_full = (sig / rx[:, 1:].sum(axis=1) > t).sum()
+        covered_trunc = (sig / rx[:, 1:k].sum(axis=1) > t).sum()
         deltas.append(abs(covered_full - covered_trunc) / trials)
     assert max(deltas) < 0.003
 
 
 # --------------------------------------------------------------------------
-# Single-sample API
+# SINR formulas against a per-trial reference
 # --------------------------------------------------------------------------
 
-def test_sinr_sample_requires_three_points():
-    with pytest.raises(TooFewPoints):
-        sinr_sample(SchemeSpec(Association.SKIP_COOP),
-                    np.zeros((2, 2)), rng(0), NET)
+def replay_batch(params, seed, batch, n, k):
+    """The draws of batch `batch`, in the order the module docstring states."""
+    g = np.random.Generator(np.random.Philox(key=[seed, batch]))
+    d2 = np.cumsum(g.standard_exponential((n, k)), axis=1) \
+        / (math.pi * params.lambda_bs)
+    p1 = g.standard_exponential(n)
+    tail = g.standard_exponential((n, k - 3))
+    h = g.standard_normal((n, 2)) + 1j * g.standard_normal((n, 2))
+    return d2, p1, tail, h / math.sqrt(2.0)
 
 
-def test_sinr_sample_fields():
-    pts = sample_ppp(70.0, 1.5, rng(33))
-    sample = sinr_sample(SchemeSpec(Association.SKIP_COOP, ic=True),
-                         pts, rng(34), NET)
-    assert sample.sinr >= 0
-    assert sample.distances.r1 <= sample.distances.r2 <= sample.distances.r3
+def reference_sinrs(params, d2, p1, tail, h):
+    """Every variant's SINR for one trial: signal over the fsum of the received
+    powers of all BSs that neither serve nor are cancelled."""
+    p, eta = params.tx_power, params.eta
+    gain = [p * x ** (-eta / 2.0) for x in d2]
+    a2, a3 = h[0] * math.sqrt(gain[1]), h[1] * math.sqrt(gain[2])
+    rx = [p1 * gain[0], abs(a2) ** 2, abs(a3) ** 2] \
+        + [w * x for w, x in zip(tail, gain[3:])]
+
+    def interference(*excluded):
+        return math.fsum(v for i, v in enumerate(rx) if i not in excluded) \
+            + params.noise_power
+
+    coop, coh = abs(a2 + a3) ** 2, (abs(a2) + abs(a3)) ** 2
+    return {
+        "best": rx[0] / interference(0),
+        "skip": rx[1] / interference(1),
+        "skip+ic": rx[1] / interference(0, 1),
+        "skip-comp": coop / interference(1, 2),
+        "skip-comp+ic": coop / interference(0, 1, 2),
+        "skip-comp+coh": coh / interference(1, 2),
+        "skip-comp+ic+coh": coh / interference(0, 1, 2),
+    }
+
+
+@pytest.mark.parametrize("eta,noise", [(4.0, 0.0), (3.5, 1e3)])
+def test_batch_sinrs_match_per_trial_reference(eta, noise):
+    params = NetworkParams(lambda_bs=70.0, eta=eta, noise_power=noise)
+    k, n, seed = 120, 300, 41
+    spec = SimulationSpec(trials=n, seed=seed, batch_size=n,
+                          window_radius=math.sqrt(k / (math.pi * params.lambda_bs)))
+    result = simulate(params, spec)
+    d2, p1, tail, h = replay_batch(params, seed, 0, n, k)
+    assert result.redraws == 0
+    np.testing.assert_allclose(result.distances, np.sqrt(d2[:, :3]), rtol=1e-12)
+    for i in range(n):
+        want = reference_sinrs(params, d2[i], p1[i], tail[i], h[i])
+        for key, value in want.items():
+            assert result.sinr[key][i] == pytest.approx(value, rel=1e-12), (key, i)
+
+
+def test_no_cancellation_when_nearest_bs_dominates():
+    """With a tiny r1 the skip-comp+ic interference is still the tail beyond
+    BS 3 to full precision: it is never formed as total - t1 - t2 - t3."""
+    batches, n = 10, 2000
+    result = simulate(NET, SimulationSpec(trials=batches * n, seed=7, batch_size=n))
+    k = round(NET.lambda_bs * math.pi * default_window_radius(NET.lambda_bs) ** 2)
+    for b in range(batches):
+        d2, p1, tail, h = replay_batch(NET, 7, b, n, k)
+        gain = NET.tx_power * d2 ** (-NET.eta / 2)
+        for i in np.argsort(d2[:, 0])[:3]:
+            t1 = p1[i] * gain[i, 0]
+            want = math.fsum(tail[i] * gain[i, 3:])
+            assert t1 > 1e4 * want  # the nearest BS dominates by far
+            coop = abs(h[i, 0] * math.sqrt(gain[i, 1])
+                       + h[i, 1] * math.sqrt(gain[i, 2])) ** 2
+            interference = coop / result.sinr["skip-comp+ic"][b * n + i]
+            assert interference == pytest.approx(want, rel=1e-12)
