@@ -11,16 +11,7 @@ import os
 import sys
 
 from skipcomp.cli import main as cli_main
-
-VARIANTS = [
-    ("best", []),
-    ("skip", []),
-    ("skip", ["--ic"]),
-    ("skip-comp", []),
-    ("skip-comp", ["--ic"]),
-    ("skip-comp", ["--coherent"]),
-    ("skip-comp", ["--ic", "--coherent"]),
-]
+from skipcomp.model import VARIANTS
 
 
 def main():
@@ -31,8 +22,10 @@ def main():
     args = ap.parse_args()
     os.makedirs(args.outdir, exist_ok=True)
 
-    for scheme, flags in VARIANTS:
-        mode = "mc" if "--coherent" in flags else "both"
+    for variant in VARIANTS:
+        scheme = variant.association.value
+        flags = ["--ic"] * variant.ic + ["--coherent"] * variant.coherent
+        mode = "mc" if variant.coherent else "both"
         tag = scheme + "".join(f.replace("--", "_") for f in flags)
         out = os.path.join(args.outdir, f"coverage_{tag}.csv")
         code = cli_main([

@@ -5,32 +5,31 @@ Configuration comes from an optional JSON file plus flag overrides; every
 output file starts with a header recording the fully resolved configuration,
 so runs are reproducible byte-for-byte given the same config and seed.
 
-Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 I/O failure.
+Exit codes: 0 success, 1 a validate check failed, 2 invalid config, 3 numerical
+failure, 4 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from . import coverage as cov
-from . import distances, montecarlo, throughput
+from . import checks, distances, montecarlo, throughput
 from .model import (
+    ANALYTIC_VARIANTS,
     Association,
     MobilityParams,
     NetworkParams,
     OverheadParams,
     SchemeSpec,
-    SchemeError,
     validate_scheme,
 )
 from .montecarlo import SimulationSpec
@@ -46,21 +45,23 @@ class ConfigError(ValueError):
     pass
 
 
-CONFIG_KEYS = {
-    "lambda_bs_per_km2": 70.0,
-    "eta": 4.0,
-    "tx_power_w": 1.0,
-    "noise_power_w": 0.0,
-    "bandwidth_hz": 1e7,
-    "velocity_kmh": 100.0,
-    "ho_delay_s": 0.7,
-    "u_c_conventional": 0.3,
-    "u_c_skipping": 0.15,
-    "trials": 100_000,
-    "seed": 12345,
-    "window_radius_km": None,
-    "batch_size": 2000,
-}
+#: The config schema: file key, RunConfig section, field, type and the CLI
+#: flag that overrides it.  Defaults are the section dataclasses' defaults.
+CONFIG_TABLE = (
+    ("lambda_bs_per_km2", "network", "lambda_bs", float, "--lambda"),
+    ("eta", "network", "eta", float, "--eta"),
+    ("tx_power_w", "network", "tx_power", float, None),
+    ("noise_power_w", "network", "noise_power", float, None),
+    ("bandwidth_hz", "network", "bandwidth", float, None),
+    ("velocity_kmh", "mobility", "velocity", float, None),
+    ("ho_delay_s", "mobility", "ho_delay", float, None),
+    ("u_c_conventional", "overhead", "u_conventional", float, None),
+    ("u_c_skipping", "overhead", "u_skipping", float, None),
+    ("trials", "simulation", "trials", int, "--trials"),
+    ("seed", "simulation", "seed", int, "--seed"),
+    ("window_radius_km", "simulation", "window_radius", float, None),
+    ("batch_size", "simulation", "batch_size", int, None),
+)
 
 
 @dataclass(frozen=True)
@@ -71,54 +72,33 @@ class RunConfig:
     simulation: SimulationSpec
 
     def as_dict(self) -> Dict:
-        return {
-            "lambda_bs_per_km2": self.network.lambda_bs,
-            "eta": self.network.eta,
-            "tx_power_w": self.network.tx_power,
-            "noise_power_w": self.network.noise_power,
-            "bandwidth_hz": self.network.bandwidth,
-            "velocity_kmh": self.mobility.velocity,
-            "ho_delay_s": self.mobility.ho_delay,
-            "u_c_conventional": self.overhead.u_conventional,
-            "u_c_skipping": self.overhead.u_skipping,
-            "trials": self.simulation.trials,
-            "seed": self.simulation.seed,
-            "window_radius_km": self.simulation.window_radius,
-            "batch_size": self.simulation.batch_size,
-        }
+        return {key: getattr(getattr(self, section), name)
+                for key, section, name, _, _ in CONFIG_TABLE}
+
+
+#: RunConfig section name -> its dataclass.
+_SECTIONS = get_type_hints(RunConfig)
 
 
 def build_config(raw: Dict) -> RunConfig:
-    unknown = set(raw) - set(CONFIG_KEYS)
+    unknown = set(raw) - {row[0] for row in CONFIG_TABLE}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged = {**CONFIG_KEYS, **raw}
+    fields: Dict[str, Dict] = {section: {} for section in _SECTIONS}
     try:
-        return RunConfig(
-            network=NetworkParams(
-                lambda_bs=float(merged["lambda_bs_per_km2"]),
-                eta=float(merged["eta"]),
-                tx_power=float(merged["tx_power_w"]),
-                noise_power=float(merged["noise_power_w"]),
-                bandwidth=float(merged["bandwidth_hz"]),
-            ),
-            mobility=MobilityParams(
-                velocity=float(merged["velocity_kmh"]),
-                ho_delay=float(merged["ho_delay_s"]),
-            ),
-            overhead=OverheadParams(
-                u_conventional=float(merged["u_c_conventional"]),
-                u_skipping=float(merged["u_c_skipping"]),
-            ),
-            simulation=SimulationSpec(
-                trials=int(merged["trials"]),
-                seed=int(merged["seed"]),
-                batch_size=int(merged["batch_size"]),
-                window_radius=(None if merged["window_radius_km"] is None
-                               else float(merged["window_radius_km"])),
-            ),
-        )
-    except (ValueError, TypeError) as exc:
+        for key, section, name, kind, _ in CONFIG_TABLE:
+            if key not in raw:
+                continue
+            value = raw[key]
+            # None is accepted only where it is the default.
+            if value is not None or getattr(_SECTIONS[section], name) is not None:
+                value = kind(value)
+                if not math.isfinite(value):
+                    raise ConfigError(f"{key} must be finite, got {value}")
+            fields[section][name] = value
+        return RunConfig(**{section: cls(**fields[section])
+                            for section, cls in _SECTIONS.items()})
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -145,14 +125,13 @@ def load_config(path: Optional[str], overrides: Dict) -> RunConfig:
 def _write(path: Optional[str], fmt: str, config: RunConfig,
            columns: Sequence[str], rows: List[List]) -> None:
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(f"# skipcomp {__version__}\n")
-        buf.write(f"# config: {json.dumps(config.as_dict(), sort_keys=True)}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(["" if v is None else _fmt(v) for v in row])
-        text = buf.getvalue()
+        # No cell holds a comma, quote or newline, so a join is valid CSV.
+        lines = [f"# skipcomp {__version__}",
+                 f"# config: {json.dumps(config.as_dict(), sort_keys=True)}",
+                 ",".join(columns)]
+        lines += [",".join("" if v is None else _fmt(v) for v in row)
+                  for row in rows]
+        text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(
             {
@@ -179,18 +158,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _parse_scheme(args: argparse.Namespace) -> SchemeSpec:
-    assoc = {a.value: a for a in Association}[args.scheme]
-    return validate_scheme(SchemeSpec(assoc, ic=args.ic, coherent=args.coherent))
-
-
-def _threshold_grid(args: argparse.Namespace) -> List[float]:
-    if args.tstep_db <= 0:
-        raise ConfigError("tstep-db must be > 0")
-    n = int(round((args.tmax_db - args.tmin_db) / args.tstep_db)) + 1
+def _grid(lo: float, hi: float, step: float, what: str) -> List[float]:
+    """lo, lo + step, ... up to hi (to the nearest step), as a list."""
+    if not (step > 0):
+        raise ConfigError(f"{what} step must be > 0")
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise ConfigError(f"{what} grid must be finite")
+    n = int(round(span)) + 1
     if n < 1:
-        raise ConfigError("empty threshold grid")
-    return [args.tmin_db + i * args.tstep_db for i in range(n)]
+        raise ConfigError(f"empty {what} grid")
+    return [lo + i * step for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,78 +176,51 @@ def _threshold_grid(args: argparse.Namespace) -> List[float]:
 # ---------------------------------------------------------------------------
 
 def cmd_coverage(args: argparse.Namespace, config: RunConfig) -> int:
-    scheme = _parse_scheme(args)
-    grid = _threshold_grid(args)
+    scheme = validate_scheme(SchemeSpec(Association(args.scheme), ic=args.ic,
+                                        coherent=args.coherent))
+    grid = _grid(args.tmin_db, args.tmax_db, args.tstep_db, "threshold")
     if scheme.coherent and args.mode != "mc":
         raise ConfigError("coherent scheme is simulation-only; use --mode mc")
 
-    analytic = None
-    if args.mode in ("analytic", "both"):
+    n = len(grid)
+    analytic = mc = mc_ci = trials = [None] * n
+    if args.mode != "mc":
         analytic = cov.coverage_curve(scheme, config.network, grid).values
-
-    mc_vals = mc_cis = None
-    if args.mode in ("mc", "both"):
+    if args.mode != "analytic":
         curve = montecarlo.empirical_coverage(
             scheme, config.network, config.simulation, grid
         )
-        mc_vals, mc_cis = curve.values, curve.ci_halfwidths
-
-    rows = []
-    for i, t_db in enumerate(grid):
-        rows.append([
-            t_db,
-            scheme.scheme_id,
-            None if analytic is None else analytic[i],
-            None if mc_vals is None else mc_vals[i],
-            None if mc_cis is None else mc_cis[i],
-            config.simulation.trials if mc_vals is not None else None,
-        ])
+        mc, mc_ci = curve.values, curve.ci_halfwidths
+        trials = [config.simulation.trials] * n
+    rows = list(zip(grid, [scheme.scheme_id] * n, analytic, mc, mc_ci, trials))
     _write(args.out, args.format, config,
            ["threshold_db", "scheme_id", "analytic", "mc", "mc_ci_halfwidth",
             "trials"], rows)
     return EXIT_OK
 
 
-_TABLE1_CASES = (
-    SchemeSpec(Association.BEST_CONNECTED),
-    SchemeSpec(Association.SKIP_NO_COOP),
-    SchemeSpec(Association.SKIP_NO_COOP, ic=True),
-    SchemeSpec(Association.SKIP_COOP),
-    SchemeSpec(Association.SKIP_COOP, ic=True),
-)
-
-
 def cmd_table1(args: argparse.Namespace, config: RunConfig) -> int:
     result = montecarlo.simulate(config.network, config.simulation)
-    rows = []
-    ses = {}
-    for scheme in _TABLE1_CASES:
-        se = throughput.spectral_efficiency(scheme, config.network)
-        mc_se, mc_ci = montecarlo.spectral_efficiency_from_result(result, scheme)
-        ses[scheme] = se
-        rows.append([scheme.scheme_id, "case", se, mc_se, mc_ci])
-    se_best = ses[_TABLE1_CASES[0]]
-    for scheme in _TABLE1_CASES[1:]:
-        rows.append([
-            scheme.scheme_id, "skipping_average",
-            throughput.skipping_avg_se(se_best, ses[scheme]), None, None,
-        ])
+    ses = {s: throughput.spectral_efficiency(s, config.network)
+           for s in ANALYTIC_VARIANTS}
+    rows = [[s.scheme_id, "case", se,
+             *montecarlo.spectral_efficiency_from_result(result, s)]
+            for s, se in ses.items()]
+    se_best = ses[ANALYTIC_VARIANTS[0]]
+    rows += [[s.scheme_id, "skipping_average",
+              throughput.skipping_avg_se(se_best, ses[s]), None, None]
+             for s in ANALYTIC_VARIANTS[1:]]
     _write(args.out, args.format, config,
            ["scheme_id", "kind", "se_analytic", "se_mc", "se_mc_ci"], rows)
     return EXIT_OK
 
 
 def cmd_throughput(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.vstep <= 0:
-        raise ConfigError("vstep must be > 0")
-    n = int(round((args.vmax - args.vmin) / args.vstep)) + 1
-    velocities = [args.vmin + i * args.vstep for i in range(n)]
+    velocities = _grid(args.vmin, args.vmax, args.vstep, "velocity")
     d_values = args.delay if args.delay else [config.mobility.ho_delay]
-    schemes = [
-        SchemeSpec(Association.BEST_CONNECTED),
-        SchemeSpec(Association.SKIP_NO_COOP, ic=args.ic),
-        SchemeSpec(Association.SKIP_COOP, ic=args.ic),
-    ]
+    # best connected, then skip and skip-comp with or without IC
+    schemes = [s for s in ANALYTIC_VARIANTS
+               if s.association is Association.BEST_CONNECTED or s.ic == args.ic]
     points = throughput.throughput_sweep(
         config.network, schemes, velocities, d_values, config.overhead
     )
@@ -308,47 +259,19 @@ def cmd_distance(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_validate(args: argparse.Namespace, config: RunConfig) -> int:
-    checks: List[tuple] = []
-    net = config.network
-    lam = net.lambda_bs
-
-    from .numerics import integrate_1d, integrate_ordered_2d
-
-    res = integrate_1d(lambda r: distances.marginal_pdf_r1(r, lam), 0.0, np.inf)
-    checks.append(("marginal_r1_normalization", abs(res.value - 1.0) < 1e-6))
-    res = integrate_1d(lambda r: distances.marginal_pdf_r2(r, lam), 0.0, np.inf)
-    checks.append(("marginal_r2_normalization", abs(res.value - 1.0) < 1e-6))
-    res = integrate_ordered_2d(lambda y, z: distances.joint_pdf_r2_r3(y, z, lam))
-    checks.append(("joint_r2_r3_normalization", abs(res.value - 1.0) < 1e-6))
-
-    anchor = cov.coverage_best(1.0, NetworkParams(lambda_bs=lam, eta=4.0))
-    checks.append(("best_connected_anchor",
-                   abs(anchor - cov.best_connected_closed_form(1.0)) < 1e-4))
-
-    for t in (0.1, 1.0, 10.0):
-        a = cov.coverage_blackout_coop(t, net, use_eta4_closed_form=True) \
-            if abs(net.eta - 4.0) < 1e-9 else None
-        b = cov.coverage_blackout_coop(t, net, use_eta4_closed_form=False)
-        if a is not None:
-            checks.append((f"eta4_equivalence_T{t}", abs(a - b) < 1e-6))
-
-    if config.simulation.trials < 20_000:
+    net, sim = config.network, config.simulation
+    results = [*checks.pdf_normalization(net.lambda_bs),
+               checks.best_connected_anchor(net.lambda_bs),
+               *checks.eta4_equivalence(net)]
+    if sim.trials < checks.MC_MIN_TRIALS:
         print("mc_vs_analytic: skipped: underpowered "
-              f"(trials={config.simulation.trials} < 20000)")
+              f"(trials={sim.trials} < {checks.MC_MIN_TRIALS})")
     else:
-        result = montecarlo.simulate(net, config.simulation)
-        grid = list(range(-10, 21, 3))
-        for scheme in _TABLE1_CASES:
-            analytic = cov.coverage_curve(scheme, net, grid).values
-            mc = montecarlo.coverage_from_result(result, scheme, grid).values
-            dev = max(abs(a - m) for a, m in zip(analytic, mc))
-            checks.append((f"mc_vs_analytic_{scheme.scheme_id}", dev <= 0.015))
-
-    all_ok = True
-    for name, ok in checks:
-        print(f"{name}: {'pass' if ok else 'FAIL'}")
-        all_ok = all_ok and ok
-    return EXIT_OK if all_ok else 1
+        results += checks.mc_vs_analytic(
+            net, montecarlo.simulate(net, sim), range(-10, 21, 3))
+    for c in results:
+        print(f"{c.name}: {'pass' if c.ok else 'FAIL'}")
+    return EXIT_OK if all(c.ok for c in results) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -367,22 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", metavar="PATH")
-        p.add_argument("--lambda", dest="lambda_bs", type=float)
-        p.add_argument("--eta", type=float)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
+        for key, _, _, kind, flag in CONFIG_TABLE:
+            if flag:
+                p.add_argument(flag, dest=key, type=kind)
         p.add_argument("--out", metavar="PATH")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    def scheme_flags(p):
-        p.add_argument("--scheme", choices=[a.value for a in Association],
-                       default="best")
-        p.add_argument("--ic", action="store_true")
-        p.add_argument("--coherent", action="store_true")
-
     p = sub.add_parser("coverage", help="coverage probability curves")
     common(p)
-    scheme_flags(p)
+    p.add_argument("--scheme", choices=[a.value for a in Association],
+                   default="best")
+    p.add_argument("--ic", action="store_true")
+    p.add_argument("--coherent", action="store_true")
     p.add_argument("--mode", choices=["analytic", "mc", "both"], default="both")
     p.add_argument("--tmin-db", type=float, default=-10.0)
     p.add_argument("--tmax-db", type=float, default=20.0)
@@ -416,16 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "lambda_bs_per_km2": getattr(args, "lambda_bs", None),
-        "eta": getattr(args, "eta", None),
-        "trials": getattr(args, "trials", None),
-        "seed": getattr(args, "seed", None),
-    }
+    overrides = {key: getattr(args, key) for key, *_, flag in CONFIG_TABLE
+                 if flag}
     try:
         config = load_config(args.config, overrides)
         return args.func(args, config)
-    except (ConfigError, SchemeError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and SchemeError included
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QuadratureError as exc:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +26,6 @@ from scipy import integrate
 from .model import Association, NetworkParams, SchemeSpec, SinrThreshold, validate_scheme
 from .numerics import (
     DEFAULT_QUAD,
-    QuadratureError,
     QuadratureSpec,
     hyp2f1_lt,
     integrate_1d,
@@ -229,7 +227,7 @@ def coverage_blackout_coop(t: SinrThreshold | float, params: NetworkParams,
                     b = math.sqrt(t / (1.0 + ue))
                     l1 = 1.0 - b * math.atan(1.0 / b)
             else:
-                a_exp = 2.0 * q / (eta - 2.0) * hyp2f1_lt(eta, q)
+                a_exp = _agg_exponent(q, eta)
                 if ic:
                     l1 = 1.0
                 else:
@@ -267,42 +265,23 @@ def coverage_blackout_coop(t: SinrThreshold | float, params: NetworkParams,
     return min(1.0, res.require())
 
 
-@lru_cache(maxsize=4096)
-def _coverage_cached(scheme: SchemeSpec, params: NetworkParams, t: float) -> float:
-    assoc = scheme.association
-    if assoc is Association.BEST_CONNECTED:
-        return coverage_best(t, params)
-    if assoc is Association.SKIP_NO_COOP:
-        return coverage_blackout_nocoop(t, params, ic=scheme.ic)
-    return coverage_blackout_coop(t, params, ic=scheme.ic)
-
-
 def coverage(scheme: SchemeSpec, params: NetworkParams,
              t: SinrThreshold | float) -> float:
     """Analytic blackout/serving coverage for one scheme at one threshold."""
     validate_scheme(scheme)
     if scheme.coherent:
         raise CoherentNotAnalytic("coherent scheme is simulation-only")
-    return _coverage_cached(scheme, params, _as_linear(t))
-
-
-def skipping_coverage(scheme: SchemeSpec, params: NetworkParams,
-                      t: SinrThreshold | float) -> float:
-    """Time-averaged coverage of a skipping user: 50% best connected,
-    50% blackout under `scheme`."""
     t = _as_linear(t)
     if scheme.association is Association.BEST_CONNECTED:
-        return coverage(scheme, params, t)
-    best = SchemeSpec(Association.BEST_CONNECTED)
-    return 0.5 * (coverage(best, params, t) + coverage(scheme, params, t))
+        return coverage_best(t, params)
+    if scheme.association is Association.SKIP_NO_COOP:
+        return coverage_blackout_nocoop(t, params, ic=scheme.ic)
+    return coverage_blackout_coop(t, params, ic=scheme.ic)
 
 
 def coverage_curve(scheme: SchemeSpec, params: NetworkParams,
                    thresholds_db: Sequence[float]) -> CoverageCurve:
     """Evaluate the analytic coverage over a dB threshold grid."""
-    validate_scheme(scheme)
-    if scheme.coherent:
-        raise CoherentNotAnalytic("coherent scheme is simulation-only")
     values = tuple(
         coverage(scheme, params, SinrThreshold.from_db(t_db))
         for t_db in thresholds_db
@@ -313,10 +292,8 @@ def coverage_curve(scheme: SchemeSpec, params: NetworkParams,
     )
 
 
-def best_connected_closed_form(t: float, eta: float = 4.0) -> float:
+def best_connected_closed_form(t: float) -> float:
     """Independent closed form for best-connected SIR coverage at eta = 4."""
-    if abs(eta - 4.0) > 1e-9:
-        raise ValueError("closed form is only valid for eta = 4")
     st = math.sqrt(t)
     return 1.0 / (1.0 + st * (math.pi / 2.0 - math.atan(1.0 / st)))
 

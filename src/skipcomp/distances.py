@@ -12,20 +12,11 @@ call returns a float.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
 
 from .model import OrderedDistances
-
-
-class DistancePdfKind(enum.Enum):
-    JOINT_123 = "joint_r1_r2_r3"
-    MARGINAL_R1 = "marginal_r1"
-    MARGINAL_R2 = "marginal_r2"
-    JOINT_R2_R3 = "joint_r2_r3"
-    CONDITIONAL_R1_GIVEN_R2 = "conditional_r1_given_r2"
 
 
 def _check_lambda(lam: float) -> None:

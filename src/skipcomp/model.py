@@ -122,6 +122,21 @@ def validate_scheme(scheme: SchemeSpec) -> SchemeSpec:
     return scheme
 
 
+#: The five variants with an analytic coverage, in Table 1 order: best
+#: connected, then skip and skip-comp, each without and with IC.
+ANALYTIC_VARIANTS = (SchemeSpec(Association.BEST_CONNECTED),) + tuple(
+    SchemeSpec(assoc, ic=ic)
+    for assoc in (Association.SKIP_NO_COOP, Association.SKIP_COOP)
+    for ic in (False, True)
+)
+
+#: Every variant the Monte Carlo oracle simulates: the analytic five plus the
+#: coherent-precoding benchmark, without and with IC.
+VARIANTS = ANALYTIC_VARIANTS + tuple(
+    SchemeSpec(Association.SKIP_COOP, ic=ic, coherent=True) for ic in (False, True)
+)
+
+
 @dataclass(frozen=True)
 class OrderedDistances:
     """Distances (km) from the test user to its three nearest BSs."""

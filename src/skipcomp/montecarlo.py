@@ -37,26 +37,7 @@ import numpy as np
 
 from .coverage import CoverageCurve, CurveSource
 from .distances import sample_ordered_squared_distances
-from .model import (
-    Association,
-    NetworkParams,
-    SchemeSpec,
-    validate_scheme,
-)
-
-#: All simulatable scheme variants, keyed by scheme_id.
-ALL_VARIANTS = tuple(
-    validate_scheme(s)
-    for s in (
-        SchemeSpec(Association.BEST_CONNECTED),
-        SchemeSpec(Association.SKIP_NO_COOP),
-        SchemeSpec(Association.SKIP_NO_COOP, ic=True),
-        SchemeSpec(Association.SKIP_COOP),
-        SchemeSpec(Association.SKIP_COOP, ic=True),
-        SchemeSpec(Association.SKIP_COOP, coherent=True),
-        SchemeSpec(Association.SKIP_COOP, ic=True, coherent=True),
-    )
-)
+from .model import VARIANTS, NetworkParams, SchemeSpec, db_to_linear, validate_scheme
 
 
 def default_window_radius(lam: float, min_expected: float = 500.0) -> float:
@@ -137,22 +118,15 @@ def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
     """Run the full simulation; one shared pass covers every scheme variant."""
     radius = spec.radius_for(params.lambda_bs)
     k = round(params.lambda_bs * math.pi * radius * radius)
-    keys = [s.scheme_id for s in ALL_VARIANTS]
-    chunks: Dict[str, list] = {key: [] for key in keys}
-    dist_chunks = []
-    done = 0
-    batch = 0
-    while done < spec.trials:
-        n = min(spec.batch_size, spec.trials - done)
-        sinr, dists = _batch_sinrs(params, k, n, _batch_rng(spec.seed, batch))
-        for key in keys:
-            chunks[key].append(sinr[key])
-        dist_chunks.append(dists)
-        done += n
-        batch += 1
+    batches = [
+        _batch_sinrs(params, k, min(spec.batch_size, spec.trials - start),
+                     _batch_rng(spec.seed, b))
+        for b, start in enumerate(range(0, spec.trials, spec.batch_size))
+    ]
     return SimulationResult(
-        sinr={key: np.concatenate(chunks[key]) for key in keys},
-        distances=np.concatenate(dist_chunks),
+        sinr={s.scheme_id: np.concatenate([sinr[s.scheme_id] for sinr, _ in batches])
+              for s in VARIANTS},
+        distances=np.concatenate([dists for _, dists in batches]),
         redraws=0,
         spec=spec,
         params=params,
@@ -167,8 +141,7 @@ def coverage_from_result(result: SimulationResult, scheme: SchemeSpec,
     n = len(sinr)
     values, cis = [], []
     for t_db in thresholds_db:
-        t = 10.0 ** (t_db / 10.0)
-        phat = float((sinr > t).mean())
+        phat = float((sinr > db_to_linear(t_db)).mean())
         values.append(phat)
         cis.append(1.96 * math.sqrt(phat * (1.0 - phat) / n))
     return CoverageCurve(
@@ -192,7 +165,3 @@ def spectral_efficiency_from_result(result: SimulationResult,
     n = len(logs)
     return float(logs.mean()), float(1.96 * logs.std(ddof=1) / math.sqrt(n))
 
-
-def empirical_spectral_efficiency(scheme: SchemeSpec, params: NetworkParams,
-                                  sim: SimulationSpec) -> Tuple[float, float]:
-    return spectral_efficiency_from_result(simulate(params, sim), scheme)

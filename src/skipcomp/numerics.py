@@ -125,11 +125,4 @@ def integrate_ordered_3d(
         )
         return inner[0]
 
-    def outer(z: float) -> float:
-        mid = integrate.quad(
-            middle, 0.0, z, args=(z,), epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol, limit=spec.max_subdivisions,
-        )
-        return mid[0]
-
-    return integrate_1d(outer, 0.0, np.inf, spec)
+    return integrate_ordered_2d(middle, spec)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -49,12 +48,11 @@ class ThroughputPoint:
         return self.throughput_nats / LN2
 
 
-@lru_cache(maxsize=256)
 def spectral_efficiency(scheme: SchemeSpec, params: NetworkParams) -> float:
-    """nats/s/Hz from the coverage integral: int_0^inf P(SINR > t)/(1+t) dt."""
-    validate_scheme(scheme)
-    if scheme.coherent:
-        raise cov.CoherentNotAnalytic("coherent scheme is simulation-only")
+    """nats/s/Hz from the coverage integral: int_0^inf P(SINR > t)/(1+t) dt.
+
+    cov.coverage rejects an invalid or coherent scheme at the first point.
+    """
     res = integrate_1d(
         lambda t: cov.coverage(scheme, params, t) / (1.0 + t),
         0.0, np.inf, DEFAULT_QUAD,
@@ -69,14 +67,17 @@ def skipping_avg_se(se_best: float, se_blackout: float) -> float:
     return 0.5 * (se_best + se_blackout)
 
 
-def scheme_spectral_efficiency(scheme: SchemeSpec, params: NetworkParams) -> float:
-    """Long-run spectral efficiency the scheme delivers to a mobile user."""
-    if scheme.association is Association.BEST_CONNECTED:
-        return spectral_efficiency(scheme, params)
+def scheme_spectral_efficiencies(schemes: Sequence[SchemeSpec],
+                                 params: NetworkParams) -> Dict[SchemeSpec, float]:
+    """Long-run spectral efficiency each scheme delivers to a mobile user,
+    integrating each distinct spectral efficiency once."""
     best = SchemeSpec(Association.BEST_CONNECTED)
-    return skipping_avg_se(
-        spectral_efficiency(best, params), spectral_efficiency(scheme, params)
-    )
+    se = {s: spectral_efficiency(s, params) for s in dict.fromkeys([best, *schemes])}
+    return {
+        s: se[s] if s.association is Association.BEST_CONNECTED
+        else skipping_avg_se(se[best], se[s])
+        for s in schemes
+    }
 
 
 def ho_rate(velocity_kmh: float, lam: float) -> float:
@@ -120,7 +121,7 @@ def throughput_sweep(params: NetworkParams, schemes: Sequence[SchemeSpec],
                      overhead: OverheadParams = OverheadParams(),
                      ) -> List[ThroughputPoint]:
     """Cartesian sweep over velocities and HO delays for the given schemes."""
-    ses = {s: scheme_spectral_efficiency(s, params) for s in schemes}
+    ses = scheme_spectral_efficiencies(schemes, params)
     points = []
     for d in d_values:
         for v in velocities:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from skipcomp.model import NetworkParams
@@ -18,3 +20,14 @@ def big_mc(default_net):
     (the first k batches of a run are bit-identical to a k-batch run)."""
     spec = SimulationSpec(trials=200_000, seed=ACCEPT_SEED, batch_size=2000)
     return simulate(default_net, spec)
+
+
+@pytest.fixture(scope="session")
+def mc_100k(big_mc):
+    """The first 1e5 trials of big_mc, equal to a standalone 1e5-trial run."""
+    n = 100_000
+    return dataclasses.replace(
+        big_mc, sinr={k: v[:n] for k, v in big_mc.sinr.items()},
+        distances=big_mc.distances[:n],
+        spec=dataclasses.replace(big_mc.spec, trials=n),
+    )

@@ -12,29 +12,23 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from skipcomp import checks, distances, montecarlo, throughput
 from skipcomp import coverage as cov
-from skipcomp import distances, montecarlo, throughput
 from skipcomp.model import (
-    Association,
+    ANALYTIC_VARIANTS,
     MobilityParams,
     NetworkParams,
     OverheadParams,
-    SchemeSpec,
 )
-from skipcomp.numerics import integrate_1d, integrate_ordered_2d, integrate_ordered_3d
+from skipcomp.numerics import integrate_ordered_3d
 
 NET = NetworkParams(lambda_bs=70.0, eta=4.0, tx_power=1.0, noise_power=0.0,
                     bandwidth=1e7)
 OVERHEAD = OverheadParams(u_conventional=0.3, u_skipping=0.15)
 
-BEST = SchemeSpec(Association.BEST_CONNECTED)
-SKIP = SchemeSpec(Association.SKIP_NO_COOP)
-SKIP_IC = SchemeSpec(Association.SKIP_NO_COOP, ic=True)
-COOP = SchemeSpec(Association.SKIP_COOP)
-COOP_IC = SchemeSpec(Association.SKIP_COOP, ic=True)
+BEST, SKIP, SKIP_IC, COOP, COOP_IC = ANALYTIC_VARIANTS
 
-FIVE_CASES = [(BEST, 1.49), (SKIP, 0.21), (COOP, 0.31), (SKIP_IC, 0.66),
-              (COOP_IC, 1.01)]
+FIVE_CASES = list(zip(ANALYTIC_VARIANTS, (1.49, 0.21, 0.66, 0.31, 1.01)))
 
 
 def report(name, ok, detail=""):
@@ -75,26 +69,18 @@ def test_criterion_3_skipping_averages():
     report("3 skipping-averages", ok)
 
 
-def test_criterion_4_coverage_cross_validation(big_mc):
-    grid = list(range(-10, 21))
-    n = 100_000
-    worst = 0.0
-    for scheme, _ in FIVE_CASES:
-        analytic = cov.coverage_curve(scheme, NET, grid).values
-        sinr = big_mc.sinr[scheme.scheme_id][:n]
-        for t_db, a in zip(grid, analytic):
-            m = float((sinr > 10 ** (t_db / 10)).mean())
-            worst = max(worst, abs(a - m))
-    report("4 analytic-vs-mc", worst <= 0.015, f"max dev {worst:.4f} at 1e5 trials")
+def test_criterion_4_coverage_cross_validation(mc_100k):
+    results = checks.mc_vs_analytic(NET, mc_100k, range(-10, 21))
+    worst = max(c.deviation for c in results)
+    report("4 analytic-vs-mc", all(c.ok for c in results),
+           f"max dev {worst:.4f} at 1e5 trials")
 
 
 def test_criterion_5_eta4_closed_form_equivalence():
-    worst = 0.0
-    for t in (0.1, 1.0, 10.0):
-        for ic in (False, True):
-            a = cov.coverage_blackout_coop(t, NET, ic=ic, use_eta4_closed_form=True)
-            b = cov.coverage_blackout_coop(t, NET, ic=ic, use_eta4_closed_form=False)
-            worst = max(worst, abs(a - b))
+    results = checks.eta4_equivalence(NET) + checks.eta4_equivalence(NET, ic=True)
+    assert len(results) == 6
+    worst = max(c.deviation for c in results)
+    for t in checks.ETA4_THRESHOLDS:
         r2, r3 = 0.05, 0.08
         s = t / (r2 ** -4 + r3 ** -4)
         worst = max(worst, abs(
@@ -103,20 +89,21 @@ def test_criterion_5_eta4_closed_form_equivalence():
         worst = max(worst, abs(
             cov.lt_ir2_coop(s, r3, 70.0, 4.0, 1.0, use_eta4_closed_form=True)
             - cov.lt_ir2_coop(s, r3, 70.0, 4.0, 1.0, use_eta4_closed_form=False)))
-    report("5 eta4-equivalence", worst <= 1e-6, f"max dev {worst:.2e}")
+    report("5 eta4-equivalence", worst <= checks.ETA4_EQUIVALENCE_TOL,
+           f"max dev {worst:.2e}")
 
 
 def test_criterion_6_best_connected_anchor():
-    got = cov.coverage_best(1.0, NET)
     oracle = 1.0 / (1.0 + math.sqrt(1.0) * (math.pi / 2 - math.atan(1.0)))
-    dev = abs(got - oracle)
-    report("6 best-connected-anchor", dev <= 1e-4,
-           f"value {got:.6f}, oracle {oracle:.6f}")
+    assert cov.best_connected_closed_form(1.0) == pytest.approx(oracle, rel=1e-15)
+    c = checks.best_connected_anchor(NET.lambda_bs)
+    report("6 best-connected-anchor", c.ok,
+           f"deviation {c.deviation:.2e}, oracle {oracle:.6f}")
 
 
 def test_criterion_7_throughput_gains():
-    se_best = throughput.scheme_spectral_efficiency(BEST, NET)
-    se_coop = throughput.scheme_spectral_efficiency(COOP_IC, NET)
+    ses = throughput.scheme_spectral_efficiencies([BEST, COOP_IC], NET)
+    se_best, se_coop = ses[BEST], ses[COOP_IC]
     gains = {}
     for v, target in ((80.0, 0.12), (100.0, 0.15), (160.0, 0.27)):
         mob = MobilityParams(velocity=v, ho_delay=0.7)
@@ -156,17 +143,15 @@ def test_criterion_8_precoding_benchmark(big_mc):
 
 
 def test_criterion_9_property_suite(big_mc):
-    checks = {}
+    results = {}
 
-    # PDF normalizations, 1e-6
-    checks["norm_r1"] = abs(integrate_1d(
-        lambda r: distances.marginal_pdf_r1(r, 50.0), 0, np.inf).value - 1) < 1e-6
-    checks["norm_r2"] = abs(integrate_1d(
-        lambda r: distances.marginal_pdf_r2(r, 70.0), 0, np.inf).value - 1) < 1e-6
-    checks["norm_joint23"] = abs(integrate_ordered_2d(
-        lambda y, z: distances.joint_pdf_r2_r3(y, z, 50.0)).value - 1) < 1e-6
-    checks["norm_joint123"] = abs(integrate_ordered_3d(
-        lambda x, y, z: distances.joint_pdf_r123(x, y, z, 25.0)).value - 1) < 1e-6
+    # PDF normalizations
+    for lam in (50.0, 70.0):
+        for c in checks.pdf_normalization(lam):
+            results[f"{c.name}_{lam}"] = c.ok
+    results["norm_joint123"] = abs(integrate_ordered_3d(
+        lambda x, y, z: distances.joint_pdf_r123(x, y, z, 25.0)).value - 1) \
+        <= checks.PDF_NORMALIZATION_TOL
 
     # marginal-consistency chain, 1e-8 pointwise
     lam, chain_ok = 50.0, True
@@ -183,13 +168,13 @@ def test_criterion_9_property_suite(big_mc):
         ratio = distances.joint_pdf_r123(y / 2, y, z, lam) \
             / distances.joint_pdf_r2_r3(y, z, lam)
         chain_ok &= abs(ratio - distances.conditional_pdf_r1_given_r2(y / 2, y)) < 1e-8
-    checks["consistency_chain"] = chain_ok
+    results["consistency_chain"] = chain_ok
 
     # coverage monotonicity and bounds
     grid_db = list(range(-10, 21, 3))
     for scheme, _ in FIVE_CASES:
         vals = cov.coverage_curve(scheme, NET, grid_db).values
-        checks[f"monotone_{scheme.scheme_id}"] = (
+        results[f"monotone_{scheme.scheme_id}"] = (
             all(0 <= v <= 1 for v in vals)
             and all(a >= b for a, b in zip(vals, vals[1:]))
         )
@@ -201,27 +186,27 @@ def test_criterion_9_property_suite(big_mc):
     for scheme, _ in FIVE_CASES:
         inv_ok &= abs(cov.coverage(scheme, net_lo, 1.0)
                       - cov.coverage(scheme, net_hi, 1.0)) < 1e-6
-    checks["lambda_invariance"] = inv_ok
+    results["lambda_invariance"] = inv_ok
 
     # sampler KS < 0.01 at 1e5 draws
     rng = np.random.Generator(np.random.Philox(key=[424242, 0]))
     draws = distances.sample_ordered_distances_array(50.0, rng, 100_000)
     scale = 1.0 / math.sqrt(2.0 * math.pi * 50.0)
-    checks["ks_r1"] = stats.kstest(
+    results["ks_r1"] = stats.kstest(
         draws[:, 0], stats.rayleigh(scale=scale).cdf).statistic < 0.01
 
     def r2_cdf(y):
         u = math.pi * 50.0 * np.asarray(y) ** 2
         return 1.0 - np.exp(-u) * (1.0 + u)
 
-    checks["ks_r2"] = stats.kstest(draws[:, 1], r2_cdf).statistic < 0.01
+    results["ks_r2"] = stats.kstest(draws[:, 1], r2_cdf).statistic < 0.01
 
     # determinism under fixed seeds
     spec = montecarlo.SimulationSpec(trials=2000, seed=3, batch_size=500)
     a = montecarlo.simulate(NET, spec)
     b = montecarlo.simulate(NET, spec)
-    checks["mc_determinism"] = all(
+    results["mc_determinism"] = all(
         (a.sinr[k] == b.sinr[k]).all() for k in a.sinr)
 
-    failed = [k for k, ok in checks.items() if not ok]
+    failed = [k for k, ok in results.items() if not ok]
     report("9 property-suite", not failed, f"failed: {failed}" if failed else "")

@@ -18,9 +18,20 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize("workload", ["paper-mc", "regime-mc"])
 def test_benchmark_smoke_run_is_correct(workload):
+    _smoke(workload, trace=0)
+
+
+@pytest.mark.parametrize("workload", ["paper-mc", "regime-mc"])
+def test_traced_benchmark_smoke_run_is_correct(workload):
+    """The tracer finds every program name it wraps or reads."""
+    result = _smoke(workload, trace=1)
+    assert result["metrics"]["montecarlo.simulate.calls"]["value"] > 0
+
+
+def _smoke(workload, trace):
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", "1", "--seconds", "1", "--smoke"],
+         "--seed", "1", "--seconds", "1", "--smoke", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -28,3 +39,4 @@ def test_benchmark_smoke_run_is_correct(workload):
     assert result["correct"] is True, proc.stdout[-2000:]
     assert result["failed"] == 0
     assert result["attempted"] > 0
+    return result

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from skipcomp import checks, throughput
 from skipcomp.cli import (
+    CONFIG_TABLE,
     EXIT_CONFIG,
     EXIT_OK,
     build_config,
@@ -142,6 +144,29 @@ def test_build_config_defaults():
     assert cfg.mobility.ho_delay == 0.7
 
 
+def test_config_round_trips_through_as_dict(config_file):
+    cfg = load_config(config_file, {"eta": 3.5})
+    assert list(cfg.as_dict()) == [row[0] for row in CONFIG_TABLE]
+    assert build_config(cfg.as_dict()) == cfg
+
+
+def test_non_finite_eta_flag_exits_2(tmp_path):
+    code = run(["coverage", "--eta", "inf", "--mode", "analytic",
+                "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["tx_power_w", "trials"])
+def test_non_finite_config_value_exits_2(tmp_path, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({key: float("inf")}))  # written as Infinity
+    assert "Infinity" in bad.read_text()
+    code = run(["coverage", "--config", str(bad), "--mode", "analytic",
+                "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+
+
 # --------------------------------------------------------------------------
 # other subcommands
 # --------------------------------------------------------------------------
@@ -184,6 +209,44 @@ def test_distance_dump(tmp_path, config_file):
     r = rows[0]
     assert float(r[0]) <= float(r[1]) <= float(r[2])
     assert float(r[3]) > 0  # joint pdf positive at its own draw
+
+
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--mode", "analytic", "--tmax-db", "inf"],
+    ["coverage", "--mode", "analytic", "--tmin-db=-inf"],
+    ["coverage", "--mode", "analytic", "--tstep-db", "nan"],
+    ["throughput", "--vmax", "inf"],
+    ["throughput", "--vmin", "100", "--vmax", "0"],
+])
+def test_bad_grid_exits_2(tmp_path, argv):
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_throughput_integrates_each_spectral_efficiency_once(
+        tmp_path, monkeypatch):
+    calls = []
+    se = throughput.spectral_efficiency
+
+    def counted(scheme, params):
+        calls.append(scheme.scheme_id)
+        return se(scheme, params)
+
+    monkeypatch.setattr(throughput, "spectral_efficiency", counted)
+    assert run(["throughput", "--vstep", "50",
+                "--out", str(tmp_path / "th.csv")]) == EXIT_OK
+    assert sorted(calls) == ["best", "skip+ic", "skip-comp+ic"]
+
+
+def test_validate_prints_every_check(capsys):
+    assert run(["validate", "--trials", "1000"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    names = [c.name for c in checks.pdf_normalization(70.0)]
+    names += ["best_connected_anchor"]
+    names += [f"eta4_equivalence_T{t}" for t in checks.ETA4_THRESHOLDS]
+    assert [ln.split(":")[0] for ln in lines[1:]] == names
+    assert all(ln.endswith(": pass") for ln in lines[1:])
 
 
 def test_validate_underpowered_mc_is_skipped(tmp_path, config_file, capsys):

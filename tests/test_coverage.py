@@ -15,7 +15,6 @@ from skipcomp.coverage import (
     coverage_curve,
     lt_i1_coop,
     lt_ir2_coop,
-    skipping_coverage,
 )
 from skipcomp.model import Association, NetworkParams, SchemeSpec
 
@@ -194,13 +193,6 @@ def test_skip_coop_ic_tracks_best_connected_at_low_thresholds():
         assert coverage(scheme, NET, t) == pytest.approx(
             coverage_best(t, NET), abs=0.06
         )
-
-
-def test_skipping_coverage_is_phase_average():
-    scheme = SchemeSpec(Association.SKIP_COOP, ic=True)
-    t = 1.0
-    expected = 0.5 * (coverage_best(t, NET) + coverage(scheme, NET, t))
-    assert skipping_coverage(scheme, NET, t) == pytest.approx(expected, rel=1e-12)
 
 
 def test_curve_invariants_enforced():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skipcomp.model import (
+    ANALYTIC_VARIANTS,
+    VARIANTS,
     Association,
     CoherentWithoutCoop,
     IcOnBestConnected,
@@ -103,3 +105,10 @@ def test_scheme_id_strings():
     assert SchemeSpec(Association.SKIP_COOP, ic=True).scheme_id == "skip-comp+ic"
     assert SchemeSpec(Association.SKIP_COOP, ic=True, coherent=True).scheme_id \
         == "skip-comp+ic+coh"
+
+
+def test_variant_lists():
+    assert [validate_scheme(s).scheme_id for s in VARIANTS] == [
+        "best", "skip", "skip+ic", "skip-comp", "skip-comp+ic",
+        "skip-comp+coh", "skip-comp+ic+coh"]
+    assert ANALYTIC_VARIANTS == tuple(s for s in VARIANTS if not s.coherent)

@@ -5,6 +5,7 @@ import pytest
 
 from skipcomp.coverage import CoherentNotAnalytic
 from skipcomp.model import (
+    ANALYTIC_VARIANTS,
     Association,
     MobilityParams,
     NetworkParams,
@@ -16,7 +17,7 @@ from skipcomp.throughput import (
     average_throughput,
     ho_cost,
     ho_rate,
-    scheme_spectral_efficiency,
+    scheme_spectral_efficiencies,
     skipping_avg_se,
     spectral_efficiency,
     throughput_sweep,
@@ -25,19 +26,14 @@ from skipcomp.throughput import (
 NET = NetworkParams(lambda_bs=70.0, eta=4.0, bandwidth=1e7)
 OVERHEAD = OverheadParams(u_conventional=0.3, u_skipping=0.15)
 
-BEST = SchemeSpec(Association.BEST_CONNECTED)
-SKIP = SchemeSpec(Association.SKIP_NO_COOP)
-SKIP_IC = SchemeSpec(Association.SKIP_NO_COOP, ic=True)
-COOP = SchemeSpec(Association.SKIP_COOP)
-COOP_IC = SchemeSpec(Association.SKIP_COOP, ic=True)
+BEST, SKIP, SKIP_IC, COOP, COOP_IC = ANALYTIC_VARIANTS
 
 
 # --------------------------------------------------------------------------
 # Spectral efficiency
 # --------------------------------------------------------------------------
 
-TABLE = [(BEST, 1.49), (SKIP, 0.21), (SKIP_IC, 0.66), (COOP, 0.31),
-         (COOP_IC, 1.01)]
+TABLE = list(zip(ANALYTIC_VARIANTS, (1.49, 0.21, 0.66, 0.31, 1.01)))
 
 
 @pytest.mark.parametrize("scheme,target", TABLE)
@@ -61,9 +57,9 @@ def test_skipping_averages():
 def test_scheme_spectral_efficiency_is_phase_average():
     se_best = spectral_efficiency(BEST, NET)
     se_coop = spectral_efficiency(COOP_IC, NET)
-    assert scheme_spectral_efficiency(COOP_IC, NET) \
-        == (se_best + se_coop) / 2
-    assert scheme_spectral_efficiency(BEST, NET) == se_best
+    ses = scheme_spectral_efficiencies([COOP_IC, BEST], NET)
+    assert ses[COOP_IC] == (se_best + se_coop) / 2
+    assert ses[BEST] == se_best
 
 
 # --------------------------------------------------------------------------
