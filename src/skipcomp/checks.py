@@ -33,7 +33,7 @@ class Check:
 
     @property
     def ok(self) -> bool:
-        return self.deviation <= self.tolerance
+        return self.deviation < self.tolerance
 
 
 def pdf_normalization(lam: float) -> List[Check]:

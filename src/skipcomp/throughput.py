@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
@@ -48,10 +49,12 @@ class ThroughputPoint:
         return self.throughput_nats / LN2
 
 
+@lru_cache(maxsize=256)
 def spectral_efficiency(scheme: SchemeSpec, params: NetworkParams) -> float:
     """nats/s/Hz from the coverage integral: int_0^inf P(SINR > t)/(1+t) dt.
 
     cov.coverage rejects an invalid or coherent scheme at the first point.
+    Cached: throughput runs at several HO delays reuse the same values.
     """
     res = integrate_1d(
         lambda t: cov.coverage(scheme, params, t) / (1.0 + t),
@@ -69,13 +72,11 @@ def skipping_avg_se(se_best: float, se_blackout: float) -> float:
 
 def scheme_spectral_efficiencies(schemes: Sequence[SchemeSpec],
                                  params: NetworkParams) -> Dict[SchemeSpec, float]:
-    """Long-run spectral efficiency each scheme delivers to a mobile user,
-    integrating each distinct spectral efficiency once."""
-    best = SchemeSpec(Association.BEST_CONNECTED)
-    se = {s: spectral_efficiency(s, params) for s in dict.fromkeys([best, *schemes])}
+    """Long-run spectral efficiency each scheme delivers to a mobile user."""
+    se_best = spectral_efficiency(SchemeSpec(Association.BEST_CONNECTED), params)
     return {
-        s: se[s] if s.association is Association.BEST_CONNECTED
-        else skipping_avg_se(se[best], se[s])
+        s: se_best if s.association is Association.BEST_CONNECTED
+        else skipping_avg_se(se_best, spectral_efficiency(s, params))
         for s in schemes
     }
 
