@@ -14,7 +14,7 @@ import numpy as np
 from . import coverage as cov
 from . import distances, montecarlo
 from .model import ANALYTIC_VARIANTS, NetworkParams
-from .numerics import integrate_1d, integrate_ordered_2d
+from .numerics import eta4_closed_form, integrate_1d, integrate_ordered_2d
 
 PDF_NORMALIZATION_TOL = 1e-6      # |integral of a distance PDF - 1|
 BEST_CONNECTED_ANCHOR_TOL = 1e-4  # |quadrature - closed form|, T = 1, eta = 4
@@ -60,13 +60,12 @@ def best_connected_anchor(lam: float) -> Check:
 
 def eta4_equivalence(params: NetworkParams, ic: bool = False) -> List[Check]:
     """Cooperative coverage, eta = 4 closed form vs. general form; [] unless eta = 4."""
-    if abs(params.eta - 4.0) >= 1e-9:
+    if not eta4_closed_form(params.eta):
         return []
     return [
         Check(f"eta4_equivalence_T{t}" + ("_ic" if ic else ""), abs(
-            cov.coverage_blackout_coop(t, params, ic=ic, use_eta4_closed_form=True)
-            - cov.coverage_blackout_coop(t, params, ic=ic,
-                                         use_eta4_closed_form=False)),
+            cov.coverage_blackout_coop(t, params, ic=ic)
+            - cov.coverage_blackout_coop(t, params, ic=ic, closed_form=False)),
             ETA4_EQUIVALENCE_TOL)
         for t in ETA4_THRESHOLDS
     ]

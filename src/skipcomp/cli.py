@@ -343,7 +343,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # ConfigError and SchemeError included
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except QuadratureError as exc:
+    except (QuadratureError, FloatingPointError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except IOError as exc:

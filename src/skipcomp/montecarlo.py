@@ -118,11 +118,13 @@ def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
     """Run the full simulation; one shared pass covers every scheme variant."""
     radius = spec.radius_for(params.lambda_bs)
     k = round(params.lambda_bs * math.pi * radius * radius)
-    batches = [
-        _batch_sinrs(params, k, min(spec.batch_size, spec.trials - start),
-                     _batch_rng(spec.seed, b))
-        for b, start in enumerate(range(0, spec.trials, spec.batch_size))
-    ]
+    # An overflowing gain (inf, then inf/inf = nan) raises FloatingPointError.
+    with np.errstate(over="raise", invalid="raise"):
+        batches = [
+            _batch_sinrs(params, k, min(spec.batch_size, spec.trials - start),
+                         _batch_rng(spec.seed, b))
+            for b, start in enumerate(range(0, spec.trials, spec.batch_size))
+        ]
     return SimulationResult(
         sinr={s.scheme_id: np.concatenate([sinr[s.scheme_id] for sinr, _ in batches])
               for s in VARIANTS},

@@ -1,10 +1,19 @@
 """Special functions and quadrature backing the analytic coverage integrals.
 
-The only hypergeometric family needed is 2F1(1, 1-2/eta; 2-2/eta; -x), the
-kernel of the Rayleigh-fading interference Laplace transforms.  Semi-infinite
-integrals are delegated to adaptive Gauss-Kronrod quadrature (scipy), which
-maps infinite intervals internally; the integrands of interest decay like
-Gaussian tails, so convergence is fast.
+Every Rayleigh-fading interference Laplace transform in the model is built
+from two scale-free kernels:
+
+  agg_exponent(eta, x) = 2x/(eta-2) * 2F1(1, 1-2/eta; 2-2/eta; -x), the
+      exponent of the transform of all BSs beyond a distance r, divided by
+      pi*lambda*r^2, at x = s*P*r^-eta;
+  nearest_lt(eta, b)   = 2 * int_0^1 w / (1 + b*w^-eta) dw, the transform of
+      one BS uniform in the disc of radius r, at b = s*P*r^-eta.
+
+Both have arctan closed forms at eta = 4; ``eta4_closed_form`` is the one
+place that decides when they apply.  Semi-infinite integrals are delegated to
+adaptive Gauss-Kronrod quadrature (scipy), which maps infinite intervals
+internally; the integrands of interest decay like Gaussian tails, so
+convergence is fast.
 """
 
 from __future__ import annotations
@@ -56,22 +65,45 @@ class IntegrationResult:
         return self.value
 
 
-def hyp2f1_lt(eta: float, x: float) -> float:
-    """2F1(1, 1-2/eta; 2-2/eta; -x) for eta > 2 and x >= 0.
+def eta4_closed_form(eta: float) -> bool:
+    """Whether the kernels' eta = 4 arctan closed forms apply at this eta."""
+    return abs(eta - 4.0) < 1e-9
 
-    This is the exact parameter family in the interference Laplace
-    transforms.  For eta = 4 the closed form arctan(sqrt(x))/sqrt(x) is used.
-    """
+
+def hyp2f1_lt(eta: float, x: float) -> float:
+    """2F1(1, 1-2/eta; 2-2/eta; -x) for eta > 2 and x >= 0."""
     if not (eta > 2):
         raise ValueError(f"eta must be > 2, got {eta}")
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0:
         return 1.0
-    if abs(eta - 4.0) < 1e-9:
-        sx = math.sqrt(x)
-        return math.atan(sx) / sx
     return float(special.hyp2f1(1.0, 1.0 - 2.0 / eta, 2.0 - 2.0 / eta, -x))
+
+
+def agg_exponent(eta: float, x: float, closed_form: bool = True) -> float:
+    """c(x) = 2x/(eta-2) * 2F1(1, 1-2/eta; 2-2/eta; -x); sqrt(x)*arctan(sqrt(x)) at eta = 4.
+
+    closed_form=False evaluates the general form at every eta.
+    """
+    if closed_form and eta4_closed_form(eta):
+        g = math.sqrt(x)
+        return g * math.atan(g)
+    return 2.0 * x / (eta - 2.0) * hyp2f1_lt(eta, x)
+
+
+def nearest_lt(eta: float, b: float, closed_form: bool = True) -> float:
+    """2 * int_0^1 w / (1 + b*w^-eta) dw; 1 - sqrt(b)*arctan(1/sqrt(b)) at eta = 4.
+
+    closed_form=False evaluates the integral by quadrature at every eta.
+    """
+    if b == 0:
+        return 1.0
+    if closed_form and eta4_closed_form(eta):
+        sb = math.sqrt(b)
+        return 1.0 - sb * math.atan(1.0 / sb)
+    return integrate_1d(
+        lambda w: 2.0 * w / (1.0 + b * w ** (-eta)), 0.0, 1.0).require()
 
 
 def integrate_1d(

@@ -84,11 +84,11 @@ def test_criterion_5_eta4_closed_form_equivalence():
         r2, r3 = 0.05, 0.08
         s = t / (r2 ** -4 + r3 ** -4)
         worst = max(worst, abs(
-            cov.lt_i1_coop(s, r2, 4.0, 1.0, use_eta4_closed_form=True)
-            - cov.lt_i1_coop(s, r2, 4.0, 1.0, use_eta4_closed_form=False)))
+            cov.lt_i1_coop(s, r2, 4.0, 1.0)
+            - cov.lt_i1_coop(s, r2, 4.0, 1.0, closed_form=False)))
         worst = max(worst, abs(
-            cov.lt_ir2_coop(s, r3, 70.0, 4.0, 1.0, use_eta4_closed_form=True)
-            - cov.lt_ir2_coop(s, r3, 70.0, 4.0, 1.0, use_eta4_closed_form=False)))
+            cov.lt_ir2_coop(s, r3, 70.0, 4.0, 1.0)
+            - cov.lt_ir2_coop(s, r3, 70.0, 4.0, 1.0, closed_form=False)))
     report("5 eta4-equivalence", worst <= checks.ETA4_EQUIVALENCE_TOL,
            f"max dev {worst:.2e}")
 

@@ -6,6 +6,7 @@ from skipcomp import checks, throughput
 from skipcomp.cli import (
     CONFIG_TABLE,
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     build_config,
     load_config,
@@ -222,6 +223,35 @@ def test_bad_grid_exits_2(tmp_path, argv):
     out = tmp_path / "x.csv"
     assert run(argv + ["--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+#: Noise-free MC commands: the SINR does not depend on the BS intensity.
+MC_COMMANDS = {
+    "coverage": ["coverage", "--scheme", "skip-comp", "--mode", "mc",
+                 "--tstep-db", "10", "--trials", "2000"],
+    "table1": ["table1", "--trials", "2000"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(MC_COMMANDS))
+def test_mc_gain_overflow_exits_3(tmp_path, cmd, capsys):
+    # d^-eta overflows to inf at lambda = 1e160; inf/inf would print nan or 0.
+    out = tmp_path / "x.csv"
+    code = run(MC_COMMANDS[cmd] + ["--lambda", "1e160", "--out", str(out)])
+    assert code == EXIT_NUMERIC
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", sorted(MC_COMMANDS))
+def test_mc_output_is_scale_free_up_to_lambda_1e150(tmp_path, cmd):
+    rows = {}
+    for lam in ("70", "1e150"):
+        out = tmp_path / f"{lam}.csv"
+        assert run(MC_COMMANDS[cmd] + ["--lambda", lam, "--out", str(out)]) \
+            == EXIT_OK
+        rows[lam] = read_rows(out)[1:]  # all but the config header
+    assert rows["1e150"] == rows["70"]
 
 
 def test_throughput_integrates_each_spectral_efficiency_once(

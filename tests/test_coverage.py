@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy import special
 
 from skipcomp.coverage import (
     CoherentNotAnalytic,
@@ -33,8 +35,8 @@ def test_lt_i1_coop_at_zero():
 def test_lt_i1_coop_eta4_closed_form_matches_quadrature():
     t, r2, r3, p = 1.0, 0.1, 0.15, 1.0
     s = t / (p * (r2 ** -4 + r3 ** -4))
-    closed = lt_i1_coop(s, r2, 4.0, p, use_eta4_closed_form=True)
-    quad = lt_i1_coop(s, r2, 4.0, p, use_eta4_closed_form=False)
+    closed = lt_i1_coop(s, r2, 4.0, p)
+    quad = lt_i1_coop(s, r2, 4.0, p, closed_form=False)
     assert closed == pytest.approx(quad, abs=1e-8)
 
 
@@ -48,8 +50,8 @@ def test_lt_ir2_coop_at_zero_and_eta4_equivalence():
     assert lt_ir2_coop(0.0, r3=0.08, lam=70.0, eta=4.0, p=1.0) == 1.0
     t, r2, r3, lam, p = 2.0, 0.05, 0.08, 70.0, 1.0
     s = t / (p * (r2 ** -4 + r3 ** -4))
-    a = lt_ir2_coop(s, r3, lam, 4.0, p, use_eta4_closed_form=True)
-    b = lt_ir2_coop(s, r3, lam, 4.0, p, use_eta4_closed_form=False)
+    a = lt_ir2_coop(s, r3, lam, 4.0, p)
+    b = lt_ir2_coop(s, r3, lam, 4.0, p, closed_form=False)
     assert a == pytest.approx(b, abs=1e-8)
 
 
@@ -124,12 +126,34 @@ def test_nocoop_no_ic_is_lowest_curve():
 @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
 @pytest.mark.parametrize("ic", [False, True])
 def test_eta4_reduction_matches_general_form(t, ic):
-    a = coverage_blackout_coop(t, NET, ic=ic, use_eta4_closed_form=True)
-    b = coverage_blackout_coop(t, NET, ic=ic, use_eta4_closed_form=False)
-    assert a == pytest.approx(b, abs=1e-6)
-    c = coverage_blackout_nocoop(t, NET, ic=ic, use_eta4_closed_form=True)
-    d = coverage_blackout_nocoop(t, NET, ic=ic, use_eta4_closed_form=False)
+    # Non-cooperative only: acceptance criterion 5 checks the cooperative case.
+    c = coverage_blackout_nocoop(t, NET, ic=ic)
+    d = coverage_blackout_nocoop(t, NET, ic=ic, closed_form=False)
     assert c == pytest.approx(d, abs=1e-6)
+
+
+def test_general_form_evaluates_hyp2f1_at_eta4():
+    # closed_form=False must reach the far-interference exponent too, or the
+    # eta = 4 equivalence check compares the closed form with itself.
+    with mock.patch.object(special, "hyp2f1", wraps=special.hyp2f1) as h:
+        coverage_blackout_coop(1.0, NetworkParams())
+        assert h.call_count == 0
+        coverage_blackout_coop(1.0, NetworkParams(), closed_form=False)
+        assert h.call_count >= 1
+
+
+def test_closed_form_flag_is_inert_away_from_eta4():
+    net = NetworkParams(eta=3.5)
+    for ic in (False, True):
+        assert coverage_blackout_nocoop(1.0, net, ic=ic, closed_form=True) \
+            == coverage_blackout_nocoop(1.0, net, ic=ic, closed_form=False)
+        assert coverage_blackout_coop(1.0, net, ic=ic, closed_form=True) \
+            == coverage_blackout_coop(1.0, net, ic=ic, closed_form=False)
+    s, r2, r3 = 1e-5, 0.05, 0.08
+    assert lt_i1_coop(s, r2, 3.5, 1.0, closed_form=True) \
+        == lt_i1_coop(s, r2, 3.5, 1.0, closed_form=False)
+    assert lt_ir2_coop(s, r3, 70.0, 3.5, 1.0, closed_form=True) \
+        == lt_ir2_coop(s, r3, 70.0, 3.5, 1.0, closed_form=False)
 
 
 def test_general_eta_runs():

@@ -16,6 +16,7 @@ from skipcomp.cli import EXIT_OK, main
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 CONFIG = os.path.join(DATA, "golden_config.json")
+NOISY = os.path.join(DATA, "noisy_config.json")  # eta = 4, noise 1e3 W
 
 CASES = {
     "table1.csv": ["table1", "--trials", "2000"],
@@ -32,6 +33,16 @@ CASES = {
         "both", "--tstep-db", "10", "--format", "json"],
     "throughput_config.json": [
         "throughput", "--config", CONFIG, "--vstep", "100", "--format", "json"],
+    # General-eta and noisy analytic paths (quadrature, not closed form).
+    "coverage_skip_eta3.5.csv": [
+        "coverage", "--scheme", "skip", "--eta", "3.5", "--mode", "analytic",
+        "--tstep-db", "10"],
+    "coverage_skip-comp_eta3.5.csv": [
+        "coverage", "--scheme", "skip-comp", "--eta", "3.5", "--mode",
+        "analytic", "--tstep-db", "10"],
+    "coverage_skip-comp_noisy.csv": [
+        "coverage", "--config", NOISY, "--scheme", "skip-comp", "--mode",
+        "analytic", "--tstep-db", "15"],
 }
 
 
