@@ -85,8 +85,10 @@ def lt_ir2_coop(s: float, r3: float, lam: float, eta: float, p: float,
         raise ValueError(f"eta must be > 2, got {eta}")
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    return math.exp(-math.pi * lam * r3 * r3
-                    * agg_exponent(eta, s * p * r3 ** (-eta), closed_form))
+    x = s * p * r3 ** (-eta)
+    if x == 0:
+        return 1.0  # also where r3 * r3 overflows
+    return math.exp(-math.pi * lam * r3 * r3 * agg_exponent(eta, x, closed_form))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,10 @@ def test_lt_i1_coop_monotone_in_s():
 
 def test_lt_ir2_coop_at_zero_and_eta4_equivalence():
     assert lt_ir2_coop(0.0, r3=0.08, lam=70.0, eta=4.0, p=1.0) == 1.0
+    for closed_form in (True, False):
+        # r3 * r3 overflows here; the LT must not become inf * 0 = nan
+        assert lt_ir2_coop(0.0, 1e200, 70.0, 4.0, 1.0, closed_form) == 1.0
+        assert lt_ir2_coop(1.0, 1e200, 70.0, 3.5, 1.0, closed_form) == 1.0
     t, r2, r3, lam, p = 2.0, 0.05, 0.08, 70.0, 1.0
     s = t / (p * (r2 ** -4 + r3 ** -4))
     a = lt_ir2_coop(s, r3, lam, 4.0, p)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
+from skipcomp import numerics
 from skipcomp.distances import joint_pdf_r123, joint_pdf_r2_r3, marginal_pdf_r1
 from skipcomp.numerics import (
     IntegrationResult,
+    QuadratureError,
     QuadratureSpec,
     hyp2f1_lt,
     integrate_1d,
@@ -115,3 +118,19 @@ def test_integration_result_invariants():
         IntegrationResult(value=1.0, error_estimate=-1.0, converged=True)
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
+
+
+def test_quadrature_spec_accepts_ten_times_the_tolerance():
+    spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
+    assert spec.accepts(1.0, 1e-7)
+    assert not spec.accepts(1.0, 1.1e-7)
+    assert spec.accepts(0.0, 1e-11)
+    assert not spec.accepts(0.0, 1.1e-11)
+
+
+@pytest.mark.filterwarnings("ignore", category=IntegrationWarning)
+def test_nearest_lt_raises_when_its_quadrature_does_not_converge(monkeypatch):
+    monkeypatch.setattr(numerics, "DEFAULT_QUAD", QuadratureSpec(
+        rel_tol=1e-300, abs_tol=1e-300, max_subdivisions=1))
+    with pytest.raises(QuadratureError):
+        numerics.nearest_lt(3.5, 0.01)
