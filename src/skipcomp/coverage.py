@@ -1,21 +1,22 @@
 """Analytic coverage probabilities for the three association schemes.
 
 Every interference Laplace transform (LT) is one of the two scale-free kernels
-in ``numerics``: ``nearest_lt`` for the skipped nearest BS, uniform in the disc
-of the serving distance, and ``agg_exponent`` for all BSs beyond it.  Each
-kernel takes its eta = 4 arctan closed form by default; ``closed_form=False``
+in ``numerics``: ``nearest_lt`` (L1) for the skipped nearest BS, uniform in the
+disc of the serving distance, and ``agg_exponent`` (c) for all BSs beyond it.
+Each takes its eta = 4 arctan closed form by default; ``closed_form=False``
 selects the general form everywhere (the reference of the eta = 4 check).
 
-In the interference-limited case (noise_power = 0) the SIR distribution is
-invariant to the BS intensity, so the radial integrals collapse in closed form
-and each coverage probability becomes a single 1-D integral:
+With v = pi*lambda*r^2 for the k-th nearest serving BS, every coverage, noisy
+or not, is one radial integral, ``_radial`` (weight / (1+a)^k without noise):
 
-  best connected:   1 / (1 + rho(T))       with rho the standard SIR kernel
-  blackout no-coop: L1(T) / (1 + c(T))^2   with L1 = nearest_lt, c = agg_exponent
-  blackout coop:    integral over u = r2/r3 in [0, 1] of
-                    4 u^3 L1(u) / (1 + A(u))^3
+  weight * int_0^inf v^(k-1)/(k-1)! * exp(-v*(1+a) - (b*v)^(eta/2)) dv,
 
-With noise, the radial integral is kept and evaluated numerically.
+with noise rate b = (T*sigma^2/P)^(2/eta) / (pi*lambda) and, per scheme,
+  best connected:   k = 1, a = c(T), weight 1
+  blackout no-coop: k = 2, a = c(T), weight L1(T)
+  blackout coop:    k = 3 under an integral over u = r2/r3 in [0, 1], with
+                    a = c(T u^eta/(1+u^eta)), weight 4 u^3 L1(T/(1+u^eta))
+                    and b scaled by u^2/(1+u^eta)^(2/eta)
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .model import Association, NetworkParams, SchemeSpec, SinrThreshold, validate_scheme
-from .numerics import DEFAULT_QUAD, agg_exponent, integrate_1d, nearest_lt
+from .numerics import agg_exponent, integrate_1d, nearest_lt
 
 
 class CoherentNotAnalytic(ValueError):
@@ -95,11 +95,27 @@ def lt_ir2_coop(s: float, r3: float, lam: float, eta: float, p: float,
 # Coverage probabilities
 # ---------------------------------------------------------------------------
 
-def _sir_kernel_best(t: float, eta: float) -> float:
-    """rho(T) = T^(2/eta) * int_{T^(-2/eta)}^inf dw / (1 + w^(eta/2))."""
-    res = integrate_1d(
-        lambda w: 1.0 / (1.0 + w ** (eta / 2.0)), t ** (-2.0 / eta), np.inf)
-    return t ** (2.0 / eta) * res.require()
+def _noise_rate(t: float, params: NetworkParams) -> float:
+    """b with noise factor exp(-T*sigma^2*r^eta/P) = exp(-(b*v)^(eta/2))."""
+    # a power below 1 cannot raise OverflowError; b = inf gives coverage 0
+    return ((t * params.noise_power / params.tx_power) ** (2.0 / params.eta)
+            / (math.pi * params.lambda_bs))
+
+
+def _radial(k: int, a: float, b: float, eta: float, weight: float) -> float:
+    """weight * int_0^inf v^(k-1)/(k-1)! * exp(-v*(1+a) - (b*v)^(eta/2)) dv.
+
+    v = pi*lambda*r^2 of the k-th nearest BS; weight/(1+a)^k when b = 0.
+    With v = w/d, d = 1+a+b, the integrand decays on w ~ 1 for any a and b.
+    """
+    if b == 0.0:
+        return weight / (1.0 + a) ** k
+    d = 1.0 + a + b
+    share = (1.0 + a) / d  # interference's share of the decay rate
+    return weight * integrate_1d(
+        lambda w: w ** (k - 1) / math.factorial(k - 1) * math.exp(
+            -share * w - ((1.0 - share) * w) ** (eta / 2.0)),
+        0.0, np.inf).require() * (1.0 / d) ** k
 
 
 def coverage_best(t: SinrThreshold | float, params: NetworkParams) -> float:
@@ -107,17 +123,8 @@ def coverage_best(t: SinrThreshold | float, params: NetworkParams) -> float:
     t = _as_linear(t)
     if t == 0.0:
         return 1.0
-    eta, lam, p, s2 = params.eta, params.lambda_bs, params.tx_power, params.noise_power
-    rho = _sir_kernel_best(t, eta)
-    if s2 == 0.0:
-        return 1.0 / (1.0 + rho)
-    res = integrate_1d(
-        lambda x: 2.0 * math.pi * lam * x * math.exp(
-            -t * s2 * x ** eta / p - math.pi * lam * x * x * (1.0 + rho)
-        ),
-        0.0, np.inf,
-    )
-    return min(1.0, res.require())
+    rho = agg_exponent(params.eta, t)
+    return min(1.0, _radial(1, rho, _noise_rate(t, params), params.eta, 1.0))
 
 
 def coverage_blackout_nocoop(t: SinrThreshold | float, params: NetworkParams,
@@ -129,18 +136,9 @@ def coverage_blackout_nocoop(t: SinrThreshold | float, params: NetworkParams,
     t = _as_linear(t)
     if t == 0.0:
         return 1.0
-    eta, lam, p, s2 = params.eta, params.lambda_bs, params.tx_power, params.noise_power
-    c = agg_exponent(eta, t, closed_form)
-    lt1 = 1.0 if ic else nearest_lt(eta, t, closed_form)
-    if s2 == 0.0:
-        return lt1 / (1.0 + c) ** 2
-    res = integrate_1d(
-        lambda y: 2.0 * (math.pi * lam) ** 2 * y ** 3 * math.exp(
-            -t * s2 * y ** eta / p - math.pi * lam * y * y * (1.0 + c)
-        ),
-        0.0, np.inf,
-    )
-    return min(1.0, lt1 * res.require())
+    c = agg_exponent(params.eta, t, closed_form)
+    lt1 = 1.0 if ic else nearest_lt(params.eta, t, closed_form)
+    return min(1.0, _radial(2, c, _noise_rate(t, params), params.eta, lt1))
 
 
 def coverage_blackout_coop(t: SinrThreshold | float, params: NetworkParams,
@@ -149,45 +147,27 @@ def coverage_blackout_coop(t: SinrThreshold | float, params: NetworkParams,
 
     Non-coherent joint transmission: the conditional SINR is exponential with
     mean P*(r2^-eta + r3^-eta), so coverage is the product of the two
-    interference LTs at s = T / (P*(r2^-eta + r3^-eta)), averaged over the
-    joint (r2, r3) law.  Interference-limited case: substituting u = r2/r3
-    makes the r3 integral Gaussian, leaving a single integral over [0, 1].
+    interference LTs and the noise factor at s = T / (P*(r2^-eta + r3^-eta)),
+    averaged over the joint (r2, r3) law.  With u = r2/r3 and v = pi*lambda*r3^2
+    the LTs depend on u alone, leaving the radial integral over v inside a
+    single integral over u in [0, 1].
     """
     t = _as_linear(t)
     if t == 0.0:
         return 1.0
-    eta, lam, p, s2 = params.eta, params.lambda_bs, params.tx_power, params.noise_power
+    eta, b = params.eta, _noise_rate(t, params)
 
-    if s2 == 0.0:
-        def integrand(u: float) -> float:
-            if u <= 0.0:
-                return 0.0
-            ue = u ** eta
-            # s*P*r3^-eta and s*P*r2^-eta, scale-free
-            a_exp = agg_exponent(eta, t * ue / (1.0 + ue), closed_form)
-            l1 = 1.0 if ic else nearest_lt(eta, t / (1.0 + ue), closed_form)
-            return 4.0 * u ** 3 * l1 / (1.0 + a_exp) ** 3
+    def integrand(u: float) -> float:
+        if u <= 0.0:
+            return 0.0
+        ue = u ** eta
+        # s*P*r3^-eta and s*P*r2^-eta, scale-free
+        a_exp = agg_exponent(eta, t * ue / (1.0 + ue), closed_form)
+        l1 = 1.0 if ic else nearest_lt(eta, t / (1.0 + ue), closed_form)
+        bu = b * u * u / (1.0 + ue) ** (2.0 / eta) if b else 0.0
+        return _radial(3, a_exp, bu, eta, 4.0 * u ** 3 * l1)
 
-        return min(1.0, integrate_1d(integrand, 0.0, 1.0).require())
-
-    # Noise-aware path: 2-D integral over (r2, r3) with the LT factors.
-    def inner_r3(r3: float, r2: float) -> float:
-        s = t / (p * (r2 ** (-eta) + r3 ** (-eta)))
-        l1 = 1.0 if ic else lt_i1_coop(s, r2, eta, p, closed_form)
-        lr = lt_ir2_coop(s, r3, lam, eta, p, closed_form)
-        joint = 4.0 * (math.pi * lam) ** 3 * r2 ** 3 * r3 * math.exp(
-            -math.pi * lam * r3 * r3
-        )
-        return joint * math.exp(-s * s2) * l1 * lr
-
-    def outer(r2: float) -> float:
-        out = integrate.quad(
-            inner_r3, r2, np.inf, args=(r2,), epsabs=DEFAULT_QUAD.abs_tol,
-            epsrel=1e-6, limit=DEFAULT_QUAD.max_subdivisions,
-        )
-        return out[0]
-
-    return min(1.0, integrate_1d(outer, 0.0, np.inf).require())
+    return min(1.0, integrate_1d(integrand, 0.0, 1.0).require())
 
 
 def coverage(scheme: SchemeSpec, params: NetworkParams,

@@ -118,8 +118,9 @@ def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
     """Run the full simulation; one shared pass covers every scheme variant."""
     radius = spec.radius_for(params.lambda_bs)
     k = round(params.lambda_bs * math.pi * radius * radius)
-    # An overflowing gain (inf, then inf/inf = nan) raises FloatingPointError.
-    with np.errstate(over="raise", invalid="raise"):
+    # An overflowing gain (inf, then inf/inf = nan) or a subnormal one (lost
+    # precision) raises FloatingPointError.
+    with np.errstate(over="raise", under="raise", invalid="raise"):
         batches = [
             _batch_sinrs(params, k, min(spec.batch_size, spec.trials - start),
                          _batch_rng(spec.seed, b))

@@ -236,21 +236,24 @@ MC_COMMANDS = {
 @pytest.mark.parametrize("cmd", sorted(MC_COMMANDS))
 def test_mc_gain_overflow_exits_3(tmp_path, cmd, capsys):
     # d^-eta overflows to inf at lambda = 1e160; inf/inf would print nan or 0.
-    out = tmp_path / "x.csv"
-    code = run(MC_COMMANDS[cmd] + ["--lambda", "1e160", "--out", str(out)])
-    assert code == EXIT_NUMERIC
-    assert "numerical failure" in capsys.readouterr().err
-    assert not out.exists()
+    # At lambda = 1e-160 it is subnormal and would print rows off by rounding.
+    for lam in ("1e160", "1e-160"):
+        out = tmp_path / "x.csv"
+        code = run(MC_COMMANDS[cmd] + ["--lambda", lam, "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", sorted(MC_COMMANDS))
-def test_mc_output_is_scale_free_up_to_lambda_1e150(tmp_path, cmd):
+def test_mc_output_is_scale_free_from_lambda_1e_100_to_1e150(tmp_path, cmd):
     rows = {}
-    for lam in ("70", "1e150"):
+    for lam in ("70", "1e-100", "1e150"):
         out = tmp_path / f"{lam}.csv"
         assert run(MC_COMMANDS[cmd] + ["--lambda", lam, "--out", str(out)]) \
             == EXIT_OK
         rows[lam] = read_rows(out)[1:]  # all but the config header
+    assert rows["1e-100"] == rows["70"]
     assert rows["1e150"] == rows["70"]
 
 

@@ -18,7 +18,10 @@ from skipcomp.coverage import (
     lt_i1_coop,
     lt_ir2_coop,
 )
-from skipcomp.model import Association, NetworkParams, SchemeSpec
+from skipcomp.distances import joint_pdf_r2_r3
+from skipcomp.model import ANALYTIC_VARIANTS, Association, NetworkParams, SchemeSpec
+from skipcomp.numerics import (
+    agg_exponent, integrate_1d, integrate_ordered_2d, nearest_lt)
 
 NET = NetworkParams(lambda_bs=70.0, eta=4.0)
 DB_GRID = list(range(-10, 21, 2))
@@ -183,6 +186,61 @@ def test_noise_free_limit_of_noisy_path():
     assert coverage_blackout_coop(1.0, tiny) == pytest.approx(
         coverage_blackout_coop(1.0, NET), abs=1e-5
     )
+
+
+def noisy_oracle(scheme, net, t):
+    """Coverage as an r-space radial integral: over r1 (best), r2 (skip) or
+    the ordered (r2, r3) pair (skip-comp), noise factor exp(-s*sigma^2)."""
+    eta, lam, p, s2 = net.eta, net.lambda_bs, net.tx_power, net.noise_power
+    a = math.pi * lam
+    if scheme.association is not Association.SKIP_COOP:
+        k = 1 if scheme.association is Association.BEST_CONNECTED else 2
+        c = agg_exponent(eta, t)
+        weight = 1.0 if k == 1 or scheme.ic else nearest_lt(eta, t)
+        # density of the k-th nearest distance, 2 a^k r^(2k-1) exp(-a r^2)/(k-1)!
+        res = integrate_1d(lambda r: 2.0 * a ** k * r ** (2 * k - 1)
+                           / math.factorial(k - 1) * math.exp(
+                               -t * s2 * r ** eta / p - a * r * r * (1.0 + c)),
+                           0.0, np.inf)
+        return weight * res.require()
+
+    def f(r2, r3):
+        s = t / (p * (r2 ** -eta + r3 ** -eta))
+        l1 = 1.0 if scheme.ic else lt_i1_coop(s, r2, eta, p)
+        return (joint_pdf_r2_r3(r2, r3, lam) * l1 * lt_ir2_coop(s, r3, lam, eta, p)
+                * math.exp(-s * s2))
+
+    return integrate_ordered_2d(f).require()
+
+
+@pytest.mark.parametrize("noise", [1e3, 1e6])
+@pytest.mark.parametrize("scheme", ANALYTIC_VARIANTS, ids=lambda s: s.scheme_id)
+def test_noisy_coverage_matches_r_space_oracle(scheme, noise):
+    # Largest deviation seen: 2.5e-13 relative (skip-comp, noise 1e6, T = 10).
+    net = NetworkParams(eta=4.0, noise_power=noise)
+    for t in (0.1, 1.0, 10.0):
+        assert coverage(scheme, net, t) == pytest.approx(
+            noisy_oracle(scheme, net, t), rel=1e-7, abs=0.0)
+
+
+def test_noisy_coverage_matches_r_space_oracle_at_eta_3_5():
+    net = NetworkParams(eta=3.5, noise_power=1e3)
+    scheme = SchemeSpec(Association.SKIP_COOP)
+    assert coverage(scheme, net, 1.0) == pytest.approx(
+        noisy_oracle(scheme, net, 1.0), rel=1e-7, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [1e-160, 1e-100, 1e100, 1e160])
+def test_noisy_best_connected_at_extreme_intensities(lam):
+    # Noise-limited when sparse: int_0^inf exp(-T*sigma^2/P * (v/(pi*lambda))^2) dv;
+    # interference-limited when dense.
+    net = NetworkParams(lambda_bs=lam, noise_power=1e3)
+    t = 0.1
+    if lam < 1.0:
+        expected = 0.5 * math.sqrt(math.pi) * math.pi * lam / math.sqrt(t * 1e3)
+    else:
+        expected = coverage_best(t, NET)
+    assert coverage_best(t, net) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 # --------------------------------------------------------------------------

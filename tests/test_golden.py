@@ -2,9 +2,10 @@
 
 Each case is one ``skipcomp`` command line; its output file is compared byte
 for byte with ``tests/data/<name>``.  A change that alters the random stream
-or the output format has to regenerate these files on purpose:
+or the output format has to regenerate the affected files on purpose, naming
+each case (no name regenerates them all):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 """
 
 import os
@@ -43,6 +44,18 @@ CASES = {
     "coverage_skip-comp_noisy.csv": [
         "coverage", "--config", NOISY, "--scheme", "skip-comp", "--mode",
         "analytic", "--tstep-db", "15"],
+    "coverage_best_noisy.csv": [
+        "coverage", "--config", NOISY, "--scheme", "best", "--mode",
+        "analytic", "--tstep-db", "15"],
+    "coverage_skip_noisy.csv": [
+        "coverage", "--config", NOISY, "--scheme", "skip", "--mode",
+        "analytic", "--tstep-db", "15"],
+    "coverage_skip_ic_noisy.csv": [
+        "coverage", "--config", NOISY, "--scheme", "skip", "--ic", "--mode",
+        "analytic", "--tstep-db", "15"],
+    "coverage_skip-comp_ic_noisy_eta3.5.csv": [
+        "coverage", "--config", NOISY, "--scheme", "skip-comp", "--ic",
+        "--eta", "3.5", "--mode", "analytic", "--tstep-db", "15"],
 }
 
 
@@ -55,7 +68,7 @@ def test_output_matches_saved_bytes(name, tmp_path):
 
 
 if __name__ == "__main__":
-    for name, argv in CASES.items():
-        if main(argv + ["--out", os.path.join(DATA, name)]) != EXIT_OK:
+    for name in sys.argv[1:] or CASES:
+        if main(CASES[name] + ["--out", os.path.join(DATA, name)]) != EXIT_OK:
             sys.exit(f"{name}: command failed")
         print(f"wrote {os.path.join(DATA, name)}")
