@@ -16,12 +16,13 @@ from . import distances, montecarlo
 from .model import ANALYTIC_VARIANTS, NetworkParams
 from .numerics import eta4_closed_form, integrate_1d, integrate_ordered_2d
 
-PDF_NORMALIZATION_TOL = 1e-6      # |integral of a distance PDF - 1|
-BEST_CONNECTED_ANCHOR_TOL = 1e-4  # |agg_exponent's arctan form - the
-#                                   pi/2 - arctan(1/sqrt T) form|, T = 1, eta = 4
-ETA4_EQUIVALENCE_TOL = 1e-6       # |eta = 4 closed form - general form|
-MC_VS_ANALYTIC_TOL = 0.015        # largest |MC - analytic| coverage on a grid,
-MC_MIN_TRIALS = 20_000            # checked only from this many trials on
+PDF_NORMALIZATION_TOL = 1e-6       # |integral of a distance PDF - 1|
+BEST_CONNECTED_ANCHOR_TOL = 1e-12  # |agg_exponent's arctan form - the
+#                                    pi/2 - arctan(1/sqrt T) form|, T = 1, eta = 4
+ETA4_EQUIVALENCE_TOL = 1e-12       # |eta = 4 closed form - general form|; both
+#                                    are over 1000x the rounding they see
+MC_VS_ANALYTIC_TOL = 0.015         # largest |MC - analytic| coverage on a grid,
+MC_MIN_TRIALS = 20_000             # checked only from this many trials on
 
 ETA4_THRESHOLDS = (0.1, 1.0, 10.0)  # linear thresholds of the eta = 4 check
 

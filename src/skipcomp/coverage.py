@@ -17,6 +17,9 @@ with noise rate b = (T*sigma^2/P)^(2/eta) / (pi*lambda) and, per scheme,
   blackout coop:    k = 3 under an integral over u = r2/r3 in [0, 1], with
                     a = c(T u^eta/(1+u^eta)), weight 4 u^3 L1(T/(1+u^eta))
                     and b scaled by u^2/(1+u^eta)^(2/eta)
+
+``analytic_coverage`` evaluates them over an array of thresholds on fixed
+nodes; the public functions check it with ``numerics.fixed_rule``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import Association, NetworkParams, SchemeSpec, SinrThreshold, validate_scheme
-from .numerics import agg_exponent, integrate_1d, nearest_lt
+from .numerics import agg_exponent, fixed_rule, gauss_legendre, nearest_lt
+
+U_NODES = 256  # Gauss-Legendre nodes over ln(r2/r3), for skip-comp,
+W_NODES = 64   # and over sqrt(w), for the noisy radial integral
 
 
 class CoherentNotAnalytic(ValueError):
@@ -95,36 +101,77 @@ def lt_ir2_coop(s: float, r3: float, lam: float, eta: float, p: float,
 # Coverage probabilities
 # ---------------------------------------------------------------------------
 
-def _noise_rate(t: float, params: NetworkParams) -> float:
+def _noise_rate(t, params: NetworkParams):
     """b with noise factor exp(-T*sigma^2*r^eta/P) = exp(-(b*v)^(eta/2))."""
     # a power below 1 cannot raise OverflowError; b = inf gives coverage 0
     return ((t * params.noise_power / params.tx_power) ** (2.0 / params.eta)
             / (math.pi * params.lambda_bs))
 
 
-def _radial(k: int, a: float, b: float, eta: float, weight: float) -> float:
+def _radial(k: int, a, b, eta: float, weight, coarse: bool):
     """weight * int_0^inf v^(k-1)/(k-1)! * exp(-v*(1+a) - (b*v)^(eta/2)) dv.
 
     v = pi*lambda*r^2 of the k-th nearest BS; weight/(1+a)^k when b = 0.
-    With v = w/d, d = 1+a+b, the integrand decays on w ~ 1 for any a and b.
+    With v = w/d, d = 1+a+b, the integrand decays on w ~ 1 for any a and b;
+    it is taken over z = sqrt(w), smooth at 0 for any eta, up to where the
+    exponent reaches 40.
     """
-    if b == 0.0:
+    if not np.any(b):
         return weight / (1.0 + a) ** k
     d = 1.0 + a + b
     share = (1.0 + a) / d  # interference's share of the decay rate
-    return weight * integrate_1d(
-        lambda w: w ** (k - 1) / math.factorial(k - 1) * math.exp(
-            -share * w - ((1.0 - share) * w) ** (eta / 2.0)),
-        0.0, np.inf).require() * (1.0 / d) ** k
+    with np.errstate(divide="ignore"):
+        top = np.minimum(40.0 / share, 40.0 ** (2.0 / eta) / (1.0 - share))
+    share, rest = share[..., None], np.sqrt(1.0 - share)[..., None]
+    return weight * gauss_legendre(
+        lambda z: 2.0 / math.factorial(k - 1) * z ** (2 * k - 1)
+        * np.exp(-share * z * z - (rest * z) ** eta),
+        0.0, np.sqrt(top), W_NODES, coarse) * (1.0 / d) ** k
+
+
+def analytic_coverage(scheme: SchemeSpec, params: NetworkParams, t,
+                      coarse: bool, closed_form: bool = True):
+    """Coverage at an array of linear thresholds t >= 0, before the check of
+    ``numerics.fixed_rule``, which sets coarse to halve every node count."""
+    validate_scheme(scheme)
+    if scheme.coherent:
+        raise CoherentNotAnalytic("coherent scheme is simulation-only")
+    t, eta = np.asarray(t, dtype=float), params.eta
+    b = _noise_rate(t, params)
+    if scheme.association is not Association.SKIP_COOP:
+        k = 1 if scheme.association is Association.BEST_CONNECTED else 2
+        lt1 = 1.0 if k == 1 or scheme.ic else nearest_lt(eta, t, closed_form)
+        p = _radial(k, agg_exponent(eta, t, closed_form), b, eta, lt1, coarse)
+        return np.where(t == 0.0, 1.0, np.minimum(1.0, p))
+    # Over x = ln u: the integrand rises like u^4 until interference or noise
+    # take over, within 2 of x = ln(1 + T^(2/eta) + b)/-2, and falls like u^-2
+    # above, so x runs from 12 below that point to 20 above it, or to 0.
+    peak = -0.5 * np.log1p(t ** (2.0 / eta) + b)
+    tu, bu = t[..., None], b[..., None]
+
+    def integrand(x):
+        ue = np.exp(eta * x)
+        q = 1.0 / (1.0 + ue)
+        a = agg_exponent(eta, tu * ue * q, closed_form)
+        l1 = 1.0 if scheme.ic else nearest_lt(eta, tu * q, closed_form)
+        noise = bu * np.exp(2.0 * x) * q ** (2.0 / eta) if params.noise_power else 0.0
+        return _radial(3, a, noise, eta, 4.0 * np.exp(4.0 * x) * l1, coarse)
+
+    p = gauss_legendre(integrand, peak - 12.0, np.minimum(0.0, peak + 20.0),
+                       U_NODES, coarse)
+    return np.where(t == 0.0, 1.0, np.minimum(1.0, p))
+
+
+def _checked(scheme: SchemeSpec, params: NetworkParams,
+             t: SinrThreshold | float, closed_form: bool = True) -> float:
+    t = _as_linear(t)
+    return float(fixed_rule(lambda coarse: analytic_coverage(
+        scheme, params, t, coarse, closed_form)))
 
 
 def coverage_best(t: SinrThreshold | float, params: NetworkParams) -> float:
     """Coverage probability of the always-best-connected user."""
-    t = _as_linear(t)
-    if t == 0.0:
-        return 1.0
-    rho = agg_exponent(params.eta, t)
-    return min(1.0, _radial(1, rho, _noise_rate(t, params), params.eta, 1.0))
+    return _checked(SchemeSpec(Association.BEST_CONNECTED), params, t)
 
 
 def coverage_blackout_nocoop(t: SinrThreshold | float, params: NetworkParams,
@@ -133,12 +180,8 @@ def coverage_blackout_nocoop(t: SinrThreshold | float, params: NetworkParams,
 
     With ic=True the skipped nearest BS is removed from the interference.
     """
-    t = _as_linear(t)
-    if t == 0.0:
-        return 1.0
-    c = agg_exponent(params.eta, t, closed_form)
-    lt1 = 1.0 if ic else nearest_lt(params.eta, t, closed_form)
-    return min(1.0, _radial(2, c, _noise_rate(t, params), params.eta, lt1))
+    return _checked(SchemeSpec(Association.SKIP_NO_COOP, ic), params, t,
+                    closed_form)
 
 
 def coverage_blackout_coop(t: SinrThreshold | float, params: NetworkParams,
@@ -152,48 +195,23 @@ def coverage_blackout_coop(t: SinrThreshold | float, params: NetworkParams,
     the LTs depend on u alone, leaving the radial integral over v inside a
     single integral over u in [0, 1].
     """
-    t = _as_linear(t)
-    if t == 0.0:
-        return 1.0
-    eta, b = params.eta, _noise_rate(t, params)
-
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        ue = u ** eta
-        # s*P*r3^-eta and s*P*r2^-eta, scale-free
-        a_exp = agg_exponent(eta, t * ue / (1.0 + ue), closed_form)
-        l1 = 1.0 if ic else nearest_lt(eta, t / (1.0 + ue), closed_form)
-        bu = b * u * u / (1.0 + ue) ** (2.0 / eta) if b else 0.0
-        return _radial(3, a_exp, bu, eta, 4.0 * u ** 3 * l1)
-
-    return min(1.0, integrate_1d(integrand, 0.0, 1.0).require())
+    return _checked(SchemeSpec(Association.SKIP_COOP, ic), params, t, closed_form)
 
 
 def coverage(scheme: SchemeSpec, params: NetworkParams,
              t: SinrThreshold | float) -> float:
     """Analytic blackout/serving coverage for one scheme at one threshold."""
-    validate_scheme(scheme)
-    if scheme.coherent:
-        raise CoherentNotAnalytic("coherent scheme is simulation-only")
-    t = _as_linear(t)
-    if scheme.association is Association.BEST_CONNECTED:
-        return coverage_best(t, params)
-    if scheme.association is Association.SKIP_NO_COOP:
-        return coverage_blackout_nocoop(t, params, ic=scheme.ic)
-    return coverage_blackout_coop(t, params, ic=scheme.ic)
+    return _checked(scheme, params, t)
 
 
 def coverage_curve(scheme: SchemeSpec, params: NetworkParams,
                    thresholds_db: Sequence[float]) -> CoverageCurve:
     """Evaluate the analytic coverage over a dB threshold grid."""
-    values = tuple(
-        coverage(scheme, params, SinrThreshold.from_db(t_db))
-        for t_db in thresholds_db
-    )
+    t = np.array([SinrThreshold.from_db(t_db).value for t_db in thresholds_db])
+    values = fixed_rule(lambda coarse: analytic_coverage(scheme, params, t, coarse))
     return CoverageCurve(
-        thresholds_db=tuple(thresholds_db), values=values, scheme=scheme,
-        params=params, source=CurveSource.ANALYTIC,
+        thresholds_db=tuple(thresholds_db), values=tuple(values.tolist()),
+        scheme=scheme, params=params, source=CurveSource.ANALYTIC,
     )
 
 

@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from skipcomp import checks, throughput
+from skipcomp import checks, coverage, throughput
 from skipcomp.cli import (
     CONFIG_TABLE,
     EXIT_CONFIG,
@@ -294,3 +297,40 @@ def test_validate_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"eta": 1.5}))
     assert run(["validate", "--config", str(bad)]) == EXIT_CONFIG
+
+
+def test_analytic_and_mc_commands_do_not_load_scipy_integrate(tmp_path):
+    # Only validate integrates adaptively; importing scipy.integrate costs
+    # about half of the start-up time of every other command.
+    noisy = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                         "noisy_config.json")
+    script = f"""
+import sys
+from skipcomp.cli import main
+out = {str(tmp_path / "x.csv")!r}
+for argv in (["coverage", "--mode", "analytic", "--eta", "3.5", "--config", {noisy!r}],
+             ["table1", "--trials", "2000"], ["throughput"]):
+    assert main(argv + ["--out", out]) == 0, argv
+assert "scipy.integrate" not in sys.modules, "scipy.integrate was imported"
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--scheme", "skip-comp", "--mode", "analytic"],
+    ["table1", "--trials", "2000"],
+])
+def test_unresolved_fixed_rule_exits_3(tmp_path, monkeypatch, capsys, argv):
+    # 8 nodes over ln(r2/r3) do not resolve skip-comp coverage: the half-node
+    # check must refuse the numbers instead of printing them.
+    monkeypatch.setattr(coverage, "U_NODES", 8)
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == EXIT_NUMERIC
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()

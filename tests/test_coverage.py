@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy import special
 
+from skipcomp import coverage as cov
+from skipcomp import throughput
 from skipcomp.coverage import (
     CoherentNotAnalytic,
     CoverageCurve,
@@ -19,7 +21,8 @@ from skipcomp.coverage import (
     lt_ir2_coop,
 )
 from skipcomp.distances import joint_pdf_r2_r3
-from skipcomp.model import ANALYTIC_VARIANTS, Association, NetworkParams, SchemeSpec
+from skipcomp.model import (
+    ANALYTIC_VARIANTS, Association, NetworkParams, SchemeSpec, SinrThreshold)
 from skipcomp.numerics import (
     agg_exponent, integrate_1d, integrate_ordered_2d, nearest_lt)
 
@@ -243,6 +246,51 @@ def test_noisy_best_connected_at_extreme_intensities(lam):
     assert coverage_best(t, net) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
+#: The cells of ``skipcomp coverage --scheme skip-comp --eta 2.1 --mode
+#: analytic --tmin-db 30 --tmax-db 40 --tstep-db 5`` (no IC, no noise), in
+#: mpmath at 30 and 40 digits, two independent ways.  Values this small pass
+#: any absolute quadrature tolerance, so only a relative check holds them.
+TINY_COOP_ETA_2_1 = [(30.0, 2.82681246074898e-12), (35.0, 9.95640370117703e-14),
+                     (40.0, 3.51086923304837e-15)]
+
+
+@pytest.mark.parametrize("t_db,expected", TINY_COOP_ETA_2_1)
+def test_tiny_skip_comp_coverage_is_relatively_exact(t_db, expected):
+    got = coverage_blackout_coop(SinrThreshold.from_db(t_db), NetworkParams(eta=2.1))
+    assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+def test_doubling_the_nodes_moves_no_result(monkeypatch):
+    """Coverage and SE on twice the nodes agree to 1e-10 relative.
+
+    Trimmed to keep it near 2 s: coverage of the five variants at every eta,
+    sigma^2 and lambda of the sweep, T from -10 to 40 dB in steps of 10; SEs
+    of all five at eta 2.1, 4 and 6 without noise and of the three without a
+    u-integral at eta 2.1 and 6 with it.  Largest move seen: 8.5e-13.
+    """
+    db = range(-10, 41, 10)
+    regimes = [NetworkParams(lambda_bs=lam, eta=eta, noise_power=s2)
+               for eta in (2.1, 2.5, 3.0, 3.5, 4.0, 6.0) for s2 in (0.0, 1e3, 1e6)
+               for lam in ((70.0,) if s2 == 0.0 else (10.0, 70.0))]
+    se_cases = [(s, NetworkParams(eta=eta)) for eta in (2.1, 4.0, 6.0)
+                for s in ANALYTIC_VARIANTS]
+    se_cases += [(s, NetworkParams(lambda_bs=lam, eta=eta, noise_power=s2))
+                 for eta in (2.1, 6.0) for s2 in (1e3, 1e6) for lam in (10.0, 70.0)
+                 for s in ANALYTIC_VARIANTS[:3]]
+
+    def values():
+        out = [v for net in regimes for s in ANALYTIC_VARIANTS
+               for v in coverage_curve(s, net, db).values]
+        return np.array(out + [throughput.spectral_efficiency(s, net)
+                               for s, net in se_cases])
+
+    base = values()
+    for module, name in ((cov, "U_NODES"), (cov, "W_NODES"),
+                         (throughput, "T_NODES")):
+        monkeypatch.setattr(module, name, 2 * getattr(module, name))
+    np.testing.assert_allclose(values(), base, rtol=1e-10, atol=0.0)
+
+
 # --------------------------------------------------------------------------
 # Curves
 # --------------------------------------------------------------------------
@@ -252,6 +300,7 @@ def test_curve_monotone_and_bounded():
                    SchemeSpec(Association.SKIP_COOP, ic=True)):
         curve = coverage_curve(scheme, NET, DB_GRID)
         assert curve.source is CurveSource.ANALYTIC
+        assert coverage_curve(scheme, NET, []).values == ()
         vals = curve.values
         assert all(0 <= v <= 1 for v in vals)
         assert all(a >= b for a, b in zip(vals, vals[1:]))

@@ -2,19 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import IntegrationWarning
 
-from skipcomp import numerics
 from skipcomp.distances import joint_pdf_r123, joint_pdf_r2_r3, marginal_pdf_r1
 from skipcomp.numerics import (
+    DEFAULT_QUAD,
     IntegrationResult,
     QuadratureError,
     QuadratureSpec,
     agg_exponent,
+    fixed_rule,
+    gauss_legendre,
     hyp2f1_lt,
     integrate_1d,
     integrate_ordered_2d,
     integrate_ordered_3d,
+    nearest_lt,
 )
 
 
@@ -146,9 +150,73 @@ def test_quadrature_spec_accepts_ten_times_the_tolerance():
     assert not spec.accepts(0.0, 1.1e-11)
 
 
-@pytest.mark.filterwarnings("ignore", category=IntegrationWarning)
-def test_nearest_lt_raises_when_its_quadrature_does_not_converge(monkeypatch):
-    monkeypatch.setattr(numerics, "DEFAULT_QUAD", QuadratureSpec(
-        rel_tol=1e-300, abs_tol=1e-300, max_subdivisions=1))
+def nearest_lt_quad(eta, b):
+    """2 * int_0^1 w / (1 + b*w^-eta) dw by adaptive quadrature: the
+    definition that the 2F1 form of ``nearest_lt`` must reproduce."""
+    value, err = DEFAULT_QUAD.quad(
+        lambda w: 2.0 * w / (1.0 + b * w ** (-eta)), 0.0, 1.0)
+    assert DEFAULT_QUAD.accepts(value, err)
+    return value
+
+
+@pytest.mark.parametrize("eta", [2.1, 2.5, 3.0, 3.5, 6.0])
+def test_nearest_lt_2f1_form_matches_its_quadrature(eta):
+    bs = np.logspace(-8, 8, 33)
+    got = nearest_lt(eta, bs)
+    for b, value in zip(bs, got):
+        assert value == pytest.approx(nearest_lt_quad(eta, b), rel=1e-7, abs=0.0)
+    assert nearest_lt(eta, 0.0) == 1.0
+    assert nearest_lt(eta, np.array([0.0, 1.0]))[0] == 1.0
+
+
+#: nearest_lt(eta, b) in mpmath at 30 digits, from its 2F1 form, which agreed
+#: with mpmath's quadrature of the integral to 1e-30.
+NEAREST_LT_MPMATH = [
+    (2.1, 1e-8, 0.99999971738200696),
+    (2.1, 1.0, 0.30051037697806577),
+    (2.1, 1e8, 4.8780487482297406e-9),
+    (3.5, 1e-3, 0.96578178753383178),
+    (3.5, 1e3, 0.00036341430128924389),
+    (6.0, 1.0, 0.16435115173527895),
+    (6.0, 1e8, 2.4999999857142858e-9),
+]
+
+
+@pytest.mark.parametrize("eta,b,expected", NEAREST_LT_MPMATH)
+def test_nearest_lt_matches_mpmath(eta, b, expected):
+    assert nearest_lt(eta, b) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_gauss_legendre_integrates_over_array_bounds_in_chunks(monkeypatch):
+    # 3 nodes per chunk: the rule must not depend on how the nodes are split.
+    upper = np.array([[0.5, 1.0, 2.0]])
+    whole = gauss_legendre(np.exp, 0.0, upper, 64)
+    monkeypatch.setattr("skipcomp.numerics.CHUNK_VALUES", 9)
+    chunked = gauss_legendre(np.exp, 0.0, upper, 64)
+    assert whole.shape == (1, 3)
+    np.testing.assert_allclose(whole, np.expm1(upper), rtol=1e-15)
+    np.testing.assert_allclose(chunked, whole, rtol=1e-15)
+
+
+def test_fixed_rule_raises_where_half_the_nodes_disagree():
+    def spike(coarse):  # a peak of width 1e-3 that 8 nodes cannot resolve
+        return gauss_legendre(lambda x: 1.0 / (1e-6 + x * x), -1.0,
+                              np.array([1.0, -0.5]), 16, coarse)
+
     with pytest.raises(QuadratureError):
-        numerics.nearest_lt(3.5, 0.01)
+        fixed_rule(spike)
+    smooth = fixed_rule(lambda coarse: gauss_legendre(np.cos, 0.0, 1.0, 16, coarse))
+    assert smooth == pytest.approx(math.sin(1.0), rel=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore", category=IntegrationWarning)
+def test_integrate_ordered_2d_keeps_its_inner_errors():
+    # Each inner integral, e^-z * int_0^1 sin(1/s) ds, misses its tolerance,
+    # while the outer one, over a smooth e^-z, converges.
+    res = integrate_ordered_2d(
+        lambda y, z: math.exp(-z) / z * math.sin(z / y) if y > 0 else 0.0)
+    exact = math.sin(1.0) - special.sici(1.0)[1]  # int_1^inf sin(t)/t^2 dt
+    assert not res.converged
+    assert res.error_estimate >= abs(res.value - exact) > 1e-6
+    with pytest.raises(QuadratureError):
+        res.require()
