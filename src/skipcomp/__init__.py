@@ -13,5 +13,4 @@ from .model import (  # noqa: F401
     SinrThreshold,
     db_to_linear,
     linear_to_db,
-    validate_scheme,
 )

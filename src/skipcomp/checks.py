@@ -6,17 +6,19 @@ tolerance; each tolerance is defined once, here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
-
-import numpy as np
 
 from . import coverage as cov
 from . import distances, montecarlo
 from .model import ANALYTIC_VARIANTS, NetworkParams
-from .numerics import eta4_closed_form, integrate_1d, integrate_ordered_2d
+from .numerics import eta4_closed_form, fixed_rule, gauss_legendre, integrate_1d
 
 PDF_NORMALIZATION_TOL = 1e-6       # |integral of a distance PDF - 1|
+PDF_NODES = 64                     # Gauss-Legendre nodes per dimension
+PDF_RANGE_V = 60.0                 # r runs up to v = pi*lambda*r^2 = 60; the
+#                                    tails beyond hold under 1e-22 of each PDF
 BEST_CONNECTED_ANCHOR_TOL = 1e-12  # |agg_exponent's arctan form - the
 #                                    pi/2 - arctan(1/sqrt T) form|, T = 1, eta = 4
 ETA4_EQUIVALENCE_TOL = 1e-12       # |eta = 4 closed form - general form|; both
@@ -39,17 +41,27 @@ class Check:
 
 
 def pdf_normalization(lam: float) -> List[Check]:
-    """The r1 and r2 marginals and the (r2, r3) joint density integrate to 1."""
+    """The r1 and r2 marginals and the (r2, r3) joint density integrate to 1.
+
+    Each runs on fixed nodes over r in [0, sqrt(PDF_RANGE_V/(pi*lambda))], the
+    joint one over the wedge y <= z; QuadratureError if half the nodes disagree.
+    """
+    top = math.sqrt(PDF_RANGE_V / (math.pi * lam))
+
+    def joint(coarse: bool):
+        return gauss_legendre(lambda z: gauss_legendre(
+            lambda y: distances.joint_pdf_r2_r3(y, z[..., None], lam),
+            0.0, z, PDF_NODES, coarse), 0.0, top, PDF_NODES, coarse)
+
     integrals = {
         "marginal_r1": integrate_1d(
-            lambda r: distances.marginal_pdf_r1(r, lam), 0.0, np.inf),
+            lambda r: distances.marginal_pdf_r1(r, lam), 0.0, top, PDF_NODES),
         "marginal_r2": integrate_1d(
-            lambda r: distances.marginal_pdf_r2(r, lam), 0.0, np.inf),
-        "joint_r2_r3": integrate_ordered_2d(
-            lambda y, z: distances.joint_pdf_r2_r3(y, z, lam)),
+            lambda r: distances.marginal_pdf_r2(r, lam), 0.0, top, PDF_NODES),
+        "joint_r2_r3": float(fixed_rule(joint)),
     }
-    return [Check(f"{pdf}_normalization", abs(res.value - 1.0),
-                  PDF_NORMALIZATION_TOL) for pdf, res in integrals.items()]
+    return [Check(f"{pdf}_normalization", abs(value - 1.0), PDF_NORMALIZATION_TOL)
+            for pdf, value in integrals.items()]
 
 
 def best_connected_anchor(lam: float) -> Check:

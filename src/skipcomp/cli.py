@@ -29,8 +29,8 @@ from .model import (
     MobilityParams,
     NetworkParams,
     OverheadParams,
+    SchemeError,
     SchemeSpec,
-    validate_scheme,
 )
 from .montecarlo import SimulationSpec
 from .numerics import QuadratureError
@@ -96,8 +96,10 @@ def build_config(raw: Dict) -> RunConfig:
                 if not math.isfinite(value):
                     raise ConfigError(f"{key} must be finite, got {value}")
             fields[section][name] = value
-        return RunConfig(**{section: cls(**fields[section])
-                            for section, cls in _SECTIONS.items()})
+        config = RunConfig(**{section: cls(**fields[section])
+                              for section, cls in _SECTIONS.items()})
+        config.simulation.radius_for(config.network.lambda_bs)  # window too small
+        return config
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -176,8 +178,11 @@ def _grid(lo: float, hi: float, step: float, what: str) -> List[float]:
 # ---------------------------------------------------------------------------
 
 def cmd_coverage(args: argparse.Namespace, config: RunConfig) -> int:
-    scheme = validate_scheme(SchemeSpec(Association(args.scheme), ic=args.ic,
-                                        coherent=args.coherent))
+    try:
+        scheme = SchemeSpec(Association(args.scheme), ic=args.ic,
+                            coherent=args.coherent)
+    except SchemeError as exc:
+        raise ConfigError(str(exc)) from exc
     grid = _grid(args.tmin_db, args.tmax_db, args.tstep_db, "threshold")
     if scheme.coherent and args.mode != "mc":
         raise ConfigError("coherent scheme is simulation-only; use --mode mc")
@@ -218,6 +223,8 @@ def cmd_table1(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_throughput(args: argparse.Namespace, config: RunConfig) -> int:
     velocities = _grid(args.vmin, args.vmax, args.vstep, "velocity")
     d_values = args.delay if args.delay else [config.mobility.ho_delay]
+    if not all(v >= 0 for v in velocities + d_values):
+        raise ConfigError("velocities and HO delays must be >= 0")
     # best connected, then skip and skip-comp with or without IC
     schemes = [s for s in ANALYTIC_VARIANTS
                if s.association is Association.BEST_CONNECTED or s.ic == args.ic]
@@ -340,10 +347,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = load_config(args.config, overrides)
         return args.func(args, config)
-    except ValueError as exc:  # ConfigError and SchemeError included
+    except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, FloatingPointError) as exc:
+    except (QuadratureError, FloatingPointError, ValueError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except IOError as exc:

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Association, NetworkParams, SchemeSpec, SinrThreshold, validate_scheme
+from .model import Association, NetworkParams, SchemeSpec, SinrThreshold
 from .numerics import agg_exponent, fixed_rule, gauss_legendre, nearest_lt
 
 U_NODES = 256  # Gauss-Legendre nodes over ln(r2/r3), for skip-comp,
@@ -133,7 +133,6 @@ def analytic_coverage(scheme: SchemeSpec, params: NetworkParams, t,
                       coarse: bool, closed_form: bool = True):
     """Coverage at an array of linear thresholds t >= 0, before the check of
     ``numerics.fixed_rule``, which sets coarse to halve every node count."""
-    validate_scheme(scheme)
     if scheme.coherent:
         raise CoherentNotAnalytic("coherent scheme is simulation-only")
     t, eta = np.asarray(t, dtype=float), params.eta

@@ -101,6 +101,13 @@ class SchemeSpec:
     ic: bool = False
     coherent: bool = False
 
+    def __post_init__(self):
+        if self.coherent and self.association is not Association.SKIP_COOP:
+            raise CoherentWithoutCoop(
+                f"coherent=True requires the cooperative scheme, got {self.association}")
+        if self.ic and self.association is Association.BEST_CONNECTED:
+            raise IcOnBestConnected("IC is undefined for best-connected association")
+
     @property
     def scheme_id(self) -> str:
         tags = [self.association.value]
@@ -109,17 +116,6 @@ class SchemeSpec:
         if self.coherent:
             tags.append("coh")
         return "+".join(tags)
-
-
-def validate_scheme(scheme: SchemeSpec) -> SchemeSpec:
-    """Return `scheme` unchanged if its flag combination is legal."""
-    if scheme.coherent and scheme.association is not Association.SKIP_COOP:
-        raise CoherentWithoutCoop(
-            f"coherent=True requires the cooperative scheme, got {scheme.association}"
-        )
-    if scheme.ic and scheme.association is Association.BEST_CONNECTED:
-        raise IcOnBestConnected("IC is undefined for best-connected association")
-    return scheme
 
 
 #: The five variants with an analytic coverage, in Table 1 order: best

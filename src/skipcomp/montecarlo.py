@@ -37,7 +37,7 @@ import numpy as np
 
 from .coverage import CoverageCurve, CurveSource
 from .distances import sample_ordered_squared_distances
-from .model import VARIANTS, NetworkParams, SchemeSpec, db_to_linear, validate_scheme
+from .model import VARIANTS, NetworkParams, SchemeSpec, db_to_linear
 
 
 def default_window_radius(lam: float, min_expected: float = 500.0) -> float:
@@ -139,7 +139,6 @@ def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
 def coverage_from_result(result: SimulationResult, scheme: SchemeSpec,
                          thresholds_db: Sequence[float]) -> CoverageCurve:
     """Empirical coverage curve with 95% CI half-widths."""
-    validate_scheme(scheme)
     sinr = result.sinr[scheme.scheme_id]
     n = len(sinr)
     values, cis = [], []
@@ -163,7 +162,6 @@ def empirical_coverage(scheme: SchemeSpec, params: NetworkParams,
 def spectral_efficiency_from_result(result: SimulationResult,
                                     scheme: SchemeSpec) -> Tuple[float, float]:
     """Mean ln(1 + SINR) in nats/s/Hz plus a 95% CI half-width."""
-    validate_scheme(scheme)
     logs = np.log1p(result.sinr[scheme.scheme_id])
     n = len(logs)
     return float(logs.mean()), float(1.96 * logs.std(ddof=1) / math.sqrt(n))

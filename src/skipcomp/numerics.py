@@ -15,12 +15,11 @@ Both have arctan closed forms at eta = 4; ``eta4_closed_form`` is the one
 place that decides when they apply.  The analytic integrals run on fixed
 Gauss-Legendre nodes (``gauss_legendre``) over whole arrays of thresholds,
 and ``fixed_rule`` checks each result against the same integral on half the
-nodes.  Adaptive quadrature (scipy) remains for the distance-PDF checks.
+nodes; ``integrate_1d`` is that pair for a single integral.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -29,55 +28,10 @@ from scipy import special
 
 
 class QuadratureError(RuntimeError):
-    """An integral failed to converge to the requested tolerance."""
+    """A fixed-node integral disagreed with itself on half the nodes."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-    def quad(self, f: Callable, lower: float, upper: float, args: tuple = (),
-             full_output: int = 0):
-        """scipy's adaptive Gauss-Kronrod quadrature at these tolerances."""
-        # imported here: it costs ~0.5 s at start-up and only validate uses it
-        from scipy import integrate
-        return integrate.quad(f, lower, upper, args=args, full_output=full_output,
-                              epsabs=self.abs_tol, epsrel=self.rel_tol,
-                              limit=self.max_subdivisions)
-
-    def accepts(self, value: float, err: float) -> bool:
-        """Whether an error estimate is within ten times the tolerance."""
-        return err <= self.abs_tol * 10 or err <= self.rel_tol * abs(value) * 10
-
-
-DEFAULT_QUAD = QuadratureSpec()
-
-
-@dataclass(frozen=True)
-class IntegrationResult:
-    value: float
-    error_estimate: float
-    converged: bool
-
-    def __post_init__(self):
-        if self.error_estimate < 0:
-            raise ValueError("error_estimate must be >= 0")
-
-    def require(self) -> float:
-        if not self.converged:
-            raise QuadratureError(
-                f"integral did not converge (value={self.value}, "
-                f"err={self.error_estimate})"
-            )
-        return self.value
+FIXED_RULE_REL_TOL = 1e-8  # most |all nodes - half the nodes| / |all nodes|
 
 
 def eta4_closed_form(eta: float) -> bool:
@@ -105,6 +59,9 @@ def agg_exponent(eta: float, x, closed_form: bool = True):
     return 2.0 * x / (eta - 2.0) * hyp2f1_lt(eta, x)
 
 
+_ETA4_SERIES = [(-1.0) ** k / (2 * k + 3) for k in range(9)]  # 1/3, -1/5, ...
+
+
 def nearest_lt(eta: float, b, closed_form: bool = True):
     """2 * int_0^1 w / (1 + b*w^-eta) dw; 1 - sqrt(b)*arctan(1/sqrt(b)) at eta = 4.
 
@@ -114,7 +71,18 @@ def nearest_lt(eta: float, b, closed_form: bool = True):
     with np.errstate(divide="ignore", invalid="ignore"):
         if closed_form and eta4_closed_form(eta):
             sb = np.sqrt(b)
-            return 1.0 - sb * np.arctan(1.0 / sb)  # arctan(inf) makes b = 0 exact
+            lt = np.asarray(1.0 - sb * np.arctan(1.0 / sb))  # arctan(inf): b = 0 exact
+            # The difference cancels, to 3e-16*b relative; above b = 100 take
+            # its series x/3 - x^2/5 + x^3/7 - ..., x = 1/b, to 9 terms instead.
+            far = b > 100.0
+            if np.any(far):
+                x = 1.0 / b[far]
+                series = _ETA4_SERIES[-1] * x
+                for c in _ETA4_SERIES[-2::-1]:  # Horner, in place
+                    series += c
+                    series *= x
+                lt[far] = series
+            return lt[()]
         lt = 2.0 / (b * (eta + 2.0)) * special.hyp2f1(
             1.0, 1.0 + 2.0 / eta, 2.0 + 2.0 / eta, -1.0 / b)
     return np.where(b == 0, 1.0, lt)[()]
@@ -140,56 +108,16 @@ def fixed_rule(integral: Callable[[bool], np.ndarray]) -> np.ndarray:
     """integral(False), checked against integral(True), which passes coarse
     to every ``gauss_legendre`` it nests.  Their difference, the error estimate
     of the half-node value and so a bound on the returned one's, may not
-    exceed DEFAULT_QUAD.rel_tol relative, or QuadratureError is raised."""
+    exceed FIXED_RULE_REL_TOL relative, or QuadratureError is raised."""
     value, coarse = integral(False), integral(True)
-    bad = ~(np.abs(value - coarse) <= DEFAULT_QUAD.rel_tol * np.abs(value))
+    bad = ~(np.abs(value - coarse) <= FIXED_RULE_REL_TOL * np.abs(value))
     if np.any(bad):
         raise QuadratureError(f"fixed-node integral did not converge: {value[bad]} "
                               f"on all nodes, {coarse[bad]} on half of them")
     return value
 
 
-def integrate_1d(
-    f: Callable[[float], float],
-    lower: float,
-    upper: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> IntegrationResult:
-    """Adaptive integral of f over [lower, upper]; upper may be +inf."""
-    out = spec.quad(f, lower, upper, full_output=1)
-    value, err = out[0], out[1]
-    ok = len(out) < 4  # quad appends a message on trouble
-    return IntegrationResult(value=value, error_estimate=err,
-                             converged=ok and spec.accepts(value, err))
-
-
-def integrate_ordered_2d(
-    f: Callable[[float, float], float],
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> IntegrationResult:
-    """Integral of f(y, z) over the ordered wedge 0 <= y <= z < inf.
-
-    Inner error estimates add to the outer one; each must converge too.
-    """
-    inner = []
-
-    def outer(z: float) -> float:
-        inner.append(integrate_1d(lambda y: f(y, z), 0.0, z, spec))
-        return inner[-1].value
-
-    res = integrate_1d(outer, 0.0, np.inf, spec)
-    return IntegrationResult(
-        res.value, res.error_estimate + sum(r.error_estimate for r in inner),
-        res.converged and all(r.converged for r in inner))
-
-
-def integrate_ordered_3d(
-    f: Callable[[float, float, float], float],
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> IntegrationResult:
-    """Integral of f(x, y, z) over the cone 0 <= x <= y <= z < inf."""
-
-    def middle(y: float, z: float) -> float:
-        return spec.quad(lambda x: f(x, y, z), 0.0, y)[0]
-
-    return integrate_ordered_2d(middle, spec)
+def integrate_1d(f: Callable, lower: float, upper: float, n: int) -> float:
+    """int_lower^upper f(x) dx on n Gauss-Legendre nodes, checked by
+    ``fixed_rule``; f takes an array of nodes."""
+    return float(fixed_rule(lambda coarse: gauss_legendre(f, lower, upper, n, coarse)))

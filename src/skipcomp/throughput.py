@@ -9,6 +9,7 @@ rate).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
@@ -22,9 +23,8 @@ from .model import (
     NetworkParams,
     OverheadParams,
     SchemeSpec,
-    validate_scheme,
 )
-from .numerics import fixed_rule, gauss_legendre
+from .numerics import QuadratureError, fixed_rule, gauss_legendre
 
 LN2 = math.log(2.0)
 #: Gauss-Legendre nodes on each half of the SE integral, ln t in [-40, 0] and
@@ -56,9 +56,12 @@ def spectral_efficiency(scheme: SchemeSpec, params: NetworkParams) -> float:
 
     Taken over x = ln t in [-40, 0] and [0, 20*eta]: the integrand falls off
     like e^x below and no slower than e^(-2x/eta) above, so both tails are
-    below e^-40.  cov.analytic_coverage rejects an invalid or coherent scheme.
+    below e^-40.  cov.analytic_coverage rejects a coherent scheme.  Where
+    t = e^(20*eta) overflows (eta > 35.49) no node is built: QuadratureError.
     """
     upper = 20.0 * params.eta
+    if not upper < math.log(sys.float_info.max):
+        raise QuadratureError(f"SE range t <= e^{upper:g} overflows at eta = {params.eta}")
     nodes = round(T_NODES * max(upper, 40.0) / 80.0)
 
     def integral(coarse: bool):
@@ -112,7 +115,6 @@ def average_throughput(scheme: SchemeSpec, params: NetworkParams,
                        mobility: MobilityParams, overhead: OverheadParams,
                        se: float) -> ThroughputPoint:
     """W * R * (1 - u_c) * (1 - D_HO), with zero throughput at saturation."""
-    validate_scheme(scheme)
     rate = ho_rate(mobility.velocity, params.lambda_bs)
     cost = ho_cost(scheme, rate, mobility.ho_delay)
     u = (overhead.u_conventional

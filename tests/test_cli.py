@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -299,9 +300,66 @@ def test_validate_bad_config(tmp_path, capsys):
     assert run(["validate", "--config", str(bad)]) == EXIT_CONFIG
 
 
+PDF_CHECKS = ["marginal_r1_normalization", "marginal_r2_normalization",
+              "joint_r2_r3_normalization"]
+
+
+@pytest.mark.parametrize("lam", ["1e-3", "70", "5e6", "1e9"])
+def test_validate_pdf_checks_pass_at_any_intensity(lam, capsys):
+    # The PDFs' mass sits at r ~ 1/sqrt(lambda), 3e-5 km at 1e9: an adaptive
+    # rule over [0, inf) that misses it reads 0 with a tiny error estimate.
+    assert run(["validate", "--lambda", lam, "--trials", "100"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    for name in PDF_CHECKS:
+        assert f"{name}: pass" in lines
+
+
+def test_unresolved_pdf_check_exits_3_and_prints_no_number(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "PDF_NODES", 2)
+    assert run(["validate", "--trials", "100"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err
+    assert not any(name in captured.out for name in PDF_CHECKS)
+
+
+def test_value_error_inside_the_computation_exits_3(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("coverage value out of [0,1]")
+
+    monkeypatch.setattr(coverage, "analytic_coverage", broken)
+    assert run(["coverage", "--mode", "analytic"]) == EXIT_NUMERIC
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_window_too_small_exits_2_before_the_analytic_curve(
+        tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(coverage, "analytic_coverage",
+                        lambda *args: calls.append(args))
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"window_radius_km": 0.1}))
+    assert run(["coverage", "--mode", "both", "--config", str(small)]) == EXIT_CONFIG
+    assert "window too small" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["throughput", "--eta", "1000"],
+    ["table1", "--eta", "100", "--trials", "100"],
+])
+def test_unrepresentable_se_range_exits_3_at_once(tmp_path, argv, capsys):
+    # e^(20*eta) overflows above eta = 35.49; the node count grows with eta.
+    out = tmp_path / "x.csv"
+    start = time.perf_counter()
+    assert run(argv + ["--out", str(out)]) == EXIT_NUMERIC
+    assert time.perf_counter() - start < 5.0
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analytic_and_mc_commands_do_not_load_scipy_integrate(tmp_path):
-    # Only validate integrates adaptively; importing scipy.integrate costs
-    # about half of the start-up time of every other command.
+    # No command integrates adaptively; importing scipy.integrate would cost
+    # about half of the start-up time of each.
     noisy = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                          "noisy_config.json")
     script = f"""
@@ -309,7 +367,8 @@ import sys
 from skipcomp.cli import main
 out = {str(tmp_path / "x.csv")!r}
 for argv in (["coverage", "--mode", "analytic", "--eta", "3.5", "--config", {noisy!r}],
-             ["table1", "--trials", "2000"], ["throughput"]):
+             ["table1", "--trials", "2000"], ["throughput"],
+             ["validate", "--trials", "100"], ["distance", "--trials", "100"]):
     assert main(argv + ["--out", out]) == 0, argv
 assert "scipy.integrate" not in sys.modules, "scipy.integrate was imported"
 """

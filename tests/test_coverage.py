@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from oracles import integrate_ordered_2d, quad
 from skipcomp import coverage as cov
 from skipcomp import throughput
 from skipcomp.coverage import (
@@ -23,8 +24,7 @@ from skipcomp.coverage import (
 from skipcomp.distances import joint_pdf_r2_r3
 from skipcomp.model import (
     ANALYTIC_VARIANTS, Association, NetworkParams, SchemeSpec, SinrThreshold)
-from skipcomp.numerics import (
-    agg_exponent, integrate_1d, integrate_ordered_2d, nearest_lt)
+from skipcomp.numerics import agg_exponent, nearest_lt
 
 NET = NetworkParams(lambda_bs=70.0, eta=4.0)
 DB_GRID = list(range(-10, 21, 2))
@@ -201,11 +201,10 @@ def noisy_oracle(scheme, net, t):
         c = agg_exponent(eta, t)
         weight = 1.0 if k == 1 or scheme.ic else nearest_lt(eta, t)
         # density of the k-th nearest distance, 2 a^k r^(2k-1) exp(-a r^2)/(k-1)!
-        res = integrate_1d(lambda r: 2.0 * a ** k * r ** (2 * k - 1)
-                           / math.factorial(k - 1) * math.exp(
-                               -t * s2 * r ** eta / p - a * r * r * (1.0 + c)),
-                           0.0, np.inf)
-        return weight * res.require()
+        return weight * quad(lambda r: 2.0 * a ** k * r ** (2 * k - 1)
+                             / math.factorial(k - 1) * math.exp(
+                                 -t * s2 * r ** eta / p - a * r * r * (1.0 + c)),
+                             0.0, np.inf)
 
     def f(r2, r3):
         s = t / (p * (r2 ** -eta + r3 ** -eta))
@@ -213,7 +212,7 @@ def noisy_oracle(scheme, net, t):
         return (joint_pdf_r2_r3(r2, r3, lam) * l1 * lt_ir2_coop(s, r3, lam, eta, p)
                 * math.exp(-s * s2))
 
-    return integrate_ordered_2d(f).require()
+    return integrate_ordered_2d(f)
 
 
 @pytest.mark.parametrize("noise", [1e3, 1e6])
@@ -257,6 +256,19 @@ TINY_COOP_ETA_2_1 = [(30.0, 2.82681246074898e-12), (35.0, 9.95640370117703e-14),
 @pytest.mark.parametrize("t_db,expected", TINY_COOP_ETA_2_1)
 def test_tiny_skip_comp_coverage_is_relatively_exact(t_db, expected):
     got = coverage_blackout_coop(SinrThreshold.from_db(t_db), NetworkParams(eta=2.1))
+    assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+#: The 90 and 120 dB cells of ``skipcomp coverage --scheme skip --mode analytic
+#: --tmin-db 60 --tmax-db 120 --tstep-db 30`` (eta 4, no noise): L1(T)/(1+c(T))^2
+#: with L1 = 1 - sqrt(T)*atan(1/sqrt(T)) and c = sqrt(T)*atan(sqrt(T)), in
+#: mpmath at 40 digits.  L1's closed form cancels there in double precision.
+HUGE_T_SKIP_ETA_4 = [(90.0, 1.35094911442e-19), (120.0, 1.35094911523e-25)]
+
+
+@pytest.mark.parametrize("t_db,expected", HUGE_T_SKIP_ETA_4)
+def test_skip_coverage_at_huge_thresholds_is_relatively_exact(t_db, expected):
+    got = coverage_curve(SchemeSpec(Association.SKIP_NO_COOP), NET, [t_db]).values[0]
     assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 

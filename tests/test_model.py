@@ -17,7 +17,6 @@ from skipcomp.model import (
     SinrThreshold,
     db_to_linear,
     linear_to_db,
-    validate_scheme,
 )
 
 
@@ -44,24 +43,23 @@ def test_db_roundtrip(x):
 
 
 def test_validate_scheme_accepts_legal_combinations():
-    ok = [
-        SchemeSpec(Association.BEST_CONNECTED),
-        SchemeSpec(Association.SKIP_NO_COOP, ic=True),
-        SchemeSpec(Association.SKIP_COOP, ic=True, coherent=False),
-        SchemeSpec(Association.SKIP_COOP, ic=True, coherent=True),
-    ]
-    for s in ok:
-        assert validate_scheme(s) is s
+    # A SchemeSpec validates its flags when it is built.
+    for assoc, ic, coherent in [(Association.BEST_CONNECTED, False, False),
+                                (Association.SKIP_NO_COOP, True, False),
+                                (Association.SKIP_COOP, True, False),
+                                (Association.SKIP_COOP, True, True)]:
+        s = SchemeSpec(assoc, ic=ic, coherent=coherent)
+        assert (s.association, s.ic, s.coherent) == (assoc, ic, coherent)
 
 
 def test_validate_scheme_rejects_coherent_without_coop():
     with pytest.raises(CoherentWithoutCoop):
-        validate_scheme(SchemeSpec(Association.SKIP_NO_COOP, ic=True, coherent=True))
+        SchemeSpec(Association.SKIP_NO_COOP, ic=True, coherent=True)
 
 
 def test_validate_scheme_rejects_ic_on_best_connected():
     with pytest.raises(IcOnBestConnected):
-        validate_scheme(SchemeSpec(Association.BEST_CONNECTED, ic=True))
+        SchemeSpec(Association.BEST_CONNECTED, ic=True)
 
 
 def test_network_params_invariants():
@@ -108,7 +106,7 @@ def test_scheme_id_strings():
 
 
 def test_variant_lists():
-    assert [validate_scheme(s).scheme_id for s in VARIANTS] == [
+    assert [s.scheme_id for s in VARIANTS] == [
         "best", "skip", "skip+ic", "skip-comp", "skip-comp+ic",
         "skip-comp+coh", "skip-comp+ic+coh"]
     assert ANALYTIC_VARIANTS == tuple(s for s in VARIANTS if not s.coherent)
