@@ -87,13 +87,17 @@ def eta4_equivalence(params: NetworkParams, ic: bool = False) -> List[Check]:
 
 def mc_vs_analytic(params: NetworkParams, result: montecarlo.SimulationResult,
                    thresholds_db) -> List[Check]:
-    """Largest |MC - analytic| coverage over the grid, per analytic variant."""
-    if len(result.distances) < MC_MIN_TRIALS:
+    """Largest |MC - analytic| coverage over the grid, per analytic variant.
+
+    Each MC curve comes from the estimator ``coverage --mode mc`` uses, with
+    the raw run's spec; the raw run itself serves the skip-comp pair."""
+    if result.spec.trials < MC_MIN_TRIALS:
         raise ValueError(f"MC check needs >= {MC_MIN_TRIALS} trials")
     out = []
     for scheme in ANALYTIC_VARIANTS:
         analytic = cov.coverage_curve(scheme, params, thresholds_db).values
-        mc = montecarlo.coverage_from_result(result, scheme, thresholds_db).values
+        mc = montecarlo.empirical_coverage(scheme, params, result.spec,
+                                           thresholds_db, result).values
         out.append(Check(f"mc_vs_analytic_{scheme.scheme_id}",
                          max(abs(a - m) for a, m in zip(analytic, mc)),
                          MC_VS_ANALYTIC_TOL))

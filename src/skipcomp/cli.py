@@ -31,6 +31,7 @@ from .model import (
     OverheadParams,
     SchemeError,
     SchemeSpec,
+    SinrThreshold,
 )
 from .montecarlo import SimulationSpec
 from .numerics import QuadratureError
@@ -184,6 +185,12 @@ def cmd_coverage(args: argparse.Namespace, config: RunConfig) -> int:
     except SchemeError as exc:
         raise ConfigError(str(exc)) from exc
     grid = _grid(args.tmin_db, args.tmax_db, args.tstep_db, "threshold")
+    for t_db in grid:
+        try:
+            SinrThreshold.from_db(t_db)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"threshold {t_db:g} dB: no positive finite "
+                              "linear value") from exc
     if scheme.coherent and args.mode != "mc":
         raise ConfigError("coherent scheme is simulation-only; use --mode mc")
 

@@ -1,43 +1,62 @@
-"""Monte Carlo oracle: the K nearest BSs of a PPP, Rayleigh fading, per-scheme SINR.
+"""Monte Carlo oracle: the nearest BSs of a PPP, Rayleigh fading, per-scheme SINR.
 
 Geometry.  Squared distances from the origin to a planar PPP of intensity
-lambda form a 1-D PPP of rate pi*lambda, so each trial draws the K nearest BSs
+lambda form a 1-D PPP of rate pi*lambda, so each trial draws its nearest BSs
 exactly, already sorted, as cumulative sums of Exp(pi*lambda) gaps
-(``distances.sample_ordered_squared_distances``).  BSs beyond the K-th are
-ignored.  K = round(lambda*pi*R^2) is the expected BS count of a disc of
-radius R, where R is the configured ``window_radius_km`` or, by default, the
-radius holding 500 BSs on average (so K = 500).
+(``distances.sample_ordered_squared_distances``).
 
-Fading.  BSs 2 and 3 get complex Gaussian gains, which the coherent and
-non-coherent CoMP numerators need; every other BS gets an Exp(1) power.  Each
-variant's interference is a sum of non-negative terms (t1, t2, t3 and the
-tail beyond BS 3), never a difference, so a dominant nearest BS cannot cancel
-the tail.
+Two estimators share that generator; ``empirical_coverage`` picks one by
+variant, and ``coverage --mode mc`` and ``validate`` both go through it.
+
+* Conditional (best, skip, skip+ic): a trial draws only the K_COND = 20
+  nearest BSs and no fading.  Under Rayleigh fading the coverage given the
+  geometry is a product of Laplace transforms (Andrews, Baccelli and Ganti,
+  2011): prod 1/(1 + s*g_i) over the interferers among BSs 1..K_COND, times
+  exp(-s*sigma^2), times exp(-pi*lambda*r_K^2 * agg_exponent(eta, s*g_K)),
+  the PPP Laplace functional of every BS beyond the K-th (Haenggi, 2012), with
+  g_i = P*r_i^-eta and s = T/g_serving.  The estimate is the trial mean of
+  these probabilities and its CI half-width 1.96*sd/sqrt(n); it has no
+  truncation bias at any eta > 2.
+* Raw (skip-comp, skip-comp+ic, both coherent variants, and the spectral
+  efficiency): a trial draws the K nearest BSs and their fading, and the
+  estimate is the share of trials whose SINR exceeds T.  BSs beyond the K-th
+  are ignored.  K = round(lambda*pi*R^2) is the expected BS count of a disc
+  of radius R, where R is the configured ``window_radius_km`` or, by default,
+  the radius holding 500 BSs on average (so K = 500).  BSs 2 and 3 get
+  complex Gaussian gains, which the coherent and non-coherent CoMP numerators
+  need; every other BS gets an Exp(1) power.  Each variant's interference is
+  a sum of non-negative terms (t1, t2, t3 and the tail beyond BS 3), never a
+  difference, so a dominant nearest BS cannot cancel the tail.  One
+  realization yields the SINR of every variant, which keeps paired
+  comparisons (coherent vs non-coherent, IC vs non-IC) noise-free.
+  skip-comp stays on this path because the coherent variants have no
+  product form, and coherent coverage is at least non-coherent coverage at
+  every threshold only when both come from the same draws.
 
 Randomness contract: trials are processed in fixed-size batches; batch b of a
 run with seed s uses an independent Philox counter-based stream keyed by
-(s, b), and draws, in order, the (n, K) distance gaps, the n powers of BS 1,
-the (n, K-3) tail powers and the (n, 2) real then imaginary parts of the
-gains of BSs 2 and 3.  Identical (seed, trials, batch_size, params) therefore
+(s, b).  A conditional batch draws only the (n, K_COND) distance gaps.  A raw
+batch draws, in order, the (n, K) distance gaps, the n powers of BS 1, the
+(n, K-3) tail powers and the (n, 2) real then imaginary parts of the gains of
+BSs 2 and 3.  Identical (seed, trials, batch_size, params) therefore
 reproduce results bit-exactly, the first k batches of a run equal a k-batch
 run, and batches are independent by construction.
-
-One realization yields the SINR of every scheme variant simultaneously (same
-fading and geometry), which keeps paired comparisons (coherent vs
-non-coherent, IC vs non-IC) noise-free.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .coverage import CoverageCurve, CurveSource
 from .distances import sample_ordered_squared_distances
-from .model import VARIANTS, NetworkParams, SchemeSpec, db_to_linear
+from .model import VARIANTS, Association, NetworkParams, SchemeSpec, db_to_linear
+from .numerics import agg_exponent
+
+K_COND = 20  # nearest BSs a conditional trial draws; the rest is the exact tail
 
 
 def default_window_radius(lam: float, min_expected: float = 500.0) -> float:
@@ -86,6 +105,12 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), batch_index]))
 
 
+def _batches(spec: SimulationSpec) -> Iterator[Tuple[np.random.Generator, int]]:
+    """(stream, trial count) of each batch of a run, in order."""
+    for b, start in enumerate(range(0, spec.trials, spec.batch_size)):
+        yield _batch_rng(spec.seed, b), min(spec.batch_size, spec.trials - start)
+
+
 def _batch_sinrs(params: NetworkParams, k: int, n: int,
                  rng: np.random.Generator) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
     """SINRs of all variants for n independent realizations of the K nearest BSs."""
@@ -121,11 +146,7 @@ def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
     # An overflowing gain (inf, then inf/inf = nan) or a subnormal one (lost
     # precision) raises FloatingPointError.
     with np.errstate(over="raise", under="raise", invalid="raise"):
-        batches = [
-            _batch_sinrs(params, k, min(spec.batch_size, spec.trials - start),
-                         _batch_rng(spec.seed, b))
-            for b, start in enumerate(range(0, spec.trials, spec.batch_size))
-        ]
+        batches = [_batch_sinrs(params, k, n, rng) for rng, n in _batches(spec)]
     return SimulationResult(
         sinr={s.scheme_id: np.concatenate([sinr[s.scheme_id] for sinr, _ in batches])
               for s in VARIANTS},
@@ -153,10 +174,78 @@ def coverage_from_result(result: SimulationResult, scheme: SchemeSpec,
     )
 
 
+def trial_coverage(params: NetworkParams, scheme: SchemeSpec, d2: np.ndarray,
+                   thresholds: np.ndarray) -> np.ndarray:
+    """Each trial's coverage probability given its squared distances d2
+    (shape (n, K), ascending) to the K nearest BSs, at each linear threshold:
+    shape (len(thresholds), n).  Single-server variants only."""
+    skip = scheme.association is Association.SKIP_NO_COOP
+    n, k = d2.shape
+    mass = math.pi * params.lambda_bs * d2[:, -1]  # mean BS count within r_K
+    # An overflowing or subnormal gain raises FloatingPointError, as in
+    # simulate; a probability that underflows to 0 is exact.
+    with np.errstate(over="raise", under="raise", invalid="raise"):
+        gain = params.tx_power * np.power(d2, -0.5 * params.eta)
+    with np.errstate(over="ignore", under="ignore", invalid="raise"):
+        serving = gain[:, int(skip)]
+        # Interference-to-signal gain ratios of BSs 3..K, one row per BS so
+        # that the product over them runs along contiguous rows.
+        ratio = np.divide(gain[:, 2:].T, serving, out=np.empty((k - 2, n)))
+        near = None if scheme.ic else gain[:, int(not skip)] / serving
+        noise = params.noise_power / serving
+        out = np.empty((len(thresholds), n))
+        x = np.empty_like(ratio)
+        for i, t in enumerate(thresholds):
+            np.multiply(ratio, t, out=x)
+            x += 1.0
+            den = np.multiply.reduce(x, axis=0)
+            if near is not None:  # the other of BSs 1 and 2 interferes
+                den *= 1.0 + t * near
+            out[i] = np.exp(-t * noise
+                            - mass * agg_exponent(params.eta, t * ratio[-1])) / den
+    return out
+
+
+def conditional_batches(scheme: SchemeSpec, params: NetworkParams,
+                        sim: SimulationSpec,
+                        thresholds: np.ndarray) -> Iterator[np.ndarray]:
+    """``trial_coverage`` of each batch of the run, in order."""
+    for rng, n in _batches(sim):
+        d2 = sample_ordered_squared_distances(params.lambda_bs, rng, n, K_COND)
+        yield trial_coverage(params, scheme, d2, thresholds)
+
+
+def conditional_coverage(scheme: SchemeSpec, params: NetworkParams,
+                         sim: SimulationSpec,
+                         thresholds_db: Sequence[float]) -> CoverageCurve:
+    """Mean conditional coverage with 95% CI half-widths 1.96*sd/sqrt(n)."""
+    t = np.array([db_to_linear(t_db) for t_db in thresholds_db])
+    # Per batch: the sum of its probabilities, their squared deviations from
+    # its mean and its trial count, merged exactly, so a run holds one batch.
+    parts = [(p.sum(axis=1), p.var(axis=1) * p.shape[1], p.shape[1])
+             for p in conditional_batches(scheme, params, sim, t)]
+    n = sim.trials
+    mean = sum(s for s, _, _ in parts) / n
+    m2 = sum(dev + nb * (s / nb - mean) ** 2 for s, dev, nb in parts)
+    ci = 1.96 * np.sqrt(m2 / max(n - 1, 1) / n)
+    return CoverageCurve(
+        thresholds_db=tuple(thresholds_db), values=tuple(mean.tolist()),
+        scheme=scheme, params=params, source=CurveSource.MONTE_CARLO,
+        ci_halfwidths=tuple(ci.tolist()),
+    )
+
+
 def empirical_coverage(scheme: SchemeSpec, params: NetworkParams,
-                       sim: SimulationSpec,
-                       thresholds_db: Sequence[float]) -> CoverageCurve:
-    return coverage_from_result(simulate(params, sim), scheme, thresholds_db)
+                       sim: SimulationSpec, thresholds_db: Sequence[float],
+                       result: Optional[SimulationResult] = None) -> CoverageCurve:
+    """The MC coverage curve ``coverage --mode mc`` prints: conditional for
+    the single-server variants, raw for the cooperative ones, from ``result``
+    (a raw run of the same params and spec) if given."""
+    if scheme.association is not Association.SKIP_COOP:
+        return conditional_coverage(scheme, params, sim, thresholds_db)
+    if result is None:
+        result = simulate(params, sim)
+    return coverage_from_result(result, scheme, thresholds_db)
 
 
 def spectral_efficiency_from_result(result: SimulationResult,

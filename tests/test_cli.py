@@ -222,6 +222,10 @@ def test_distance_dump(tmp_path, config_file):
     ["coverage", "--mode", "analytic", "--tstep-db", "nan"],
     ["throughput", "--vmax", "inf"],
     ["throughput", "--vmin", "100", "--vmax", "0"],
+    # 10^400 overflows and 10^-400 is 0: no SINR threshold in either mode.
+    ["coverage", "--mode", "analytic", "--tmin-db", "4000", "--tmax-db", "4000"],
+    ["coverage", "--mode", "mc", "--tmin-db", "4000", "--tmax-db", "4000"],
+    ["coverage", "--mode", "both", "--tmin-db=-4000", "--tmax-db=-4000"],
 ])
 def test_bad_grid_exits_2(tmp_path, argv):
     out = tmp_path / "x.csv"
@@ -237,13 +241,19 @@ MC_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("cmd", sorted(MC_COMMANDS))
+#: The same guard on the conditional estimator (skip-comp and table1 are raw).
+GUARDED_COMMANDS = {**MC_COMMANDS, "coverage-best": [
+    "coverage", "--scheme", "best", "--mode", "mc", "--tstep-db", "10",
+    "--trials", "2000"]}
+
+
+@pytest.mark.parametrize("cmd", sorted(GUARDED_COMMANDS))
 def test_mc_gain_overflow_exits_3(tmp_path, cmd, capsys):
     # d^-eta overflows to inf at lambda = 1e160; inf/inf would print nan or 0.
     # At lambda = 1e-160 it is subnormal and would print rows off by rounding.
     for lam in ("1e160", "1e-160"):
         out = tmp_path / "x.csv"
-        code = run(MC_COMMANDS[cmd] + ["--lambda", lam, "--out", str(out)])
+        code = run(GUARDED_COMMANDS[cmd] + ["--lambda", lam, "--out", str(out)])
         assert code == EXIT_NUMERIC
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()

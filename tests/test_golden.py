@@ -56,6 +56,13 @@ CASES = {
     "coverage_skip-comp_ic_noisy_eta3.5.csv": [
         "coverage", "--config", NOISY, "--scheme", "skip-comp", "--ic",
         "--eta", "3.5", "--mode", "analytic", "--tstep-db", "15"],
+    # Conditional MC coverage; at eta = 3.5 its far-field tail is a 2F1.
+    "coverage_skip.csv": [
+        "coverage", "--scheme", "skip", "--mode", "both", "--trials", "2000",
+        "--tstep-db", "5"],
+    "coverage_skip_ic_noisy_eta3.5_mc.csv": [
+        "coverage", "--config", NOISY, "--scheme", "skip", "--ic", "--eta",
+        "3.5", "--mode", "mc", "--trials", "2000", "--tstep-db", "5"],
 }
 
 

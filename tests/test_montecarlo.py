@@ -2,24 +2,31 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+from skipcomp import montecarlo
 from skipcomp.coverage import best_connected_closed_form, coverage_curve
 from skipcomp.distances import sample_ordered_squared_distances
 from skipcomp.model import ANALYTIC_VARIANTS, Association, NetworkParams, SchemeSpec
 from skipcomp.montecarlo import (
+    K_COND,
     SimulationSpec,
+    conditional_batches,
+    conditional_coverage,
     coverage_from_result,
     default_window_radius,
+    empirical_coverage,
     simulate,
     spectral_efficiency_from_result,
+    trial_coverage,
 )
 
 NET = NetworkParams(lambda_bs=70.0, eta=4.0)
+SINGLE_SERVER = ANALYTIC_VARIANTS[:3]  # best, skip, skip+ic
 
 
-def rng(seed=0):
-    return np.random.Generator(np.random.Philox(key=[seed, 0]))
+def rng(seed=0, batch=0):
+    return np.random.Generator(np.random.Philox(key=[seed, batch]))
 
 
 # --------------------------------------------------------------------------
@@ -240,3 +247,117 @@ def test_no_cancellation_when_nearest_bs_dominates():
                        + h[i, 1] * math.sqrt(gain[i, 2])) ** 2
             interference = coop / result.sinr["skip-comp+ic"][b * n + i]
             assert interference == pytest.approx(want, rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# Conditional estimator (best, skip, skip+ic)
+# --------------------------------------------------------------------------
+
+def test_conditional_best_connected_is_unbiased_at_eta_2_5():
+    """The raw K = 500 window leaves out enough far interference at eta = 2.5
+    to read ~0.06 high; the conditional estimator's tail includes all of it."""
+    net = NetworkParams(lambda_bs=10.0, eta=2.5)
+    grid = list(range(-10, 21))
+    best = SchemeSpec(Association.BEST_CONNECTED)
+    mc = empirical_coverage(best, net, SimulationSpec(trials=20_000, seed=2025),
+                            grid)
+    analytic = coverage_curve(best, net, grid).values
+    for a, m, ci in zip(analytic, mc.values, mc.ci_halfwidths):
+        assert abs(a - m) <= 3.0 * ci
+
+
+@pytest.mark.parametrize("eta", [4.0, 6.0])
+def test_conditional_agrees_with_raw_indicator(eta):
+    """Independent of agg_exponent: the raw estimator simulates fading and
+    ignores the BSs beyond the 500th, which at eta >= 4 cost under 3e-4.
+    The grid keeps every variant above ~200 covered raw trials, where the
+    raw binomial CI is not degenerate."""
+    net = NetworkParams(lambda_bs=70.0, eta=eta)
+    grid = [-10, -5, 0, 5]
+    sim = SimulationSpec(trials=20_000, seed=8)
+    raw = simulate(net, sim)
+    for scheme in SINGLE_SERVER:
+        cond = conditional_coverage(scheme, net, sim, grid)
+        ind = coverage_from_result(raw, scheme, grid)
+        for c, cc, i, ci in zip(cond.values, cond.ci_halfwidths, ind.values,
+                                ind.ci_halfwidths):
+            assert abs(c - i) <= cc + ci, (scheme.scheme_id, c, i)
+
+
+def test_conditional_ic_dominates_and_curves_fall_per_trial():
+    net = NetworkParams(lambda_bs=70.0, eta=3.5, noise_power=1e3)
+    d2 = sample_ordered_squared_distances(net.lambda_bs, rng(3), 2000, K_COND)
+    t = 10.0 ** (np.arange(-10.0, 41.0) / 10.0)
+    best, skip, skip_ic = (trial_coverage(net, s, d2, t) for s in SINGLE_SERVER)
+    assert (skip_ic >= skip).all()
+    for p in (best, skip, skip_ic):
+        assert ((p >= 0.0) & (p <= 1.0)).all()
+        assert (np.diff(p, axis=0) <= 0.0).all()
+        assert (np.diff(p.mean(axis=1)) <= 0.0).all()
+
+
+def test_conditional_probability_underflows_to_zero_without_raising():
+    net = NetworkParams(lambda_bs=70.0, eta=4.0, noise_power=1e3)
+    d2 = sample_ordered_squared_distances(net.lambda_bs, rng(4), 100, K_COND)
+    for scheme in SINGLE_SERVER:
+        assert (trial_coverage(net, scheme, d2, np.array([1e300])) == 0.0).all()
+
+
+def reference_trial_coverage(params, scheme, d2, t):
+    """One trial's conditional coverage at linear threshold t, from the
+    formula: a log1p sum over the interferers among the K nearest BSs, the
+    noise and the PPP tail beyond the K-th, with scipy's 2F1."""
+    eta, p = params.eta, params.tx_power
+    gain = [p * x ** (-eta / 2.0) for x in d2]
+    serving = 1 if scheme.association is Association.SKIP_NO_COOP else 0
+    cancelled = {0} if scheme.ic else set()
+    s = t / gain[serving]
+    x = s * gain[-1]
+    tail = 2.0 * x / (eta - 2.0) * special.hyp2f1(
+        1.0, 1.0 - 2.0 / eta, 2.0 - 2.0 / eta, -x)
+    return math.exp(-math.fsum(math.log1p(s * g) for i, g in enumerate(gain)
+                               if i != serving and i not in cancelled)
+                    - s * params.noise_power
+                    - math.pi * params.lambda_bs * d2[-1] * tail)
+
+
+@pytest.mark.parametrize("scheme", SINGLE_SERVER, ids=lambda s: s.scheme_id)
+def test_conditional_batches_draw_only_the_nearest_distances(scheme, monkeypatch):
+    net = NetworkParams(lambda_bs=70.0, eta=3.5, noise_power=1e3)
+    sim = SimulationSpec(trials=250, seed=17, batch_size=100)
+    t = np.array([0.1, 1.0, 10.0])
+
+    def no_raw_run(*args):
+        raise AssertionError("the single-server path ran simulate")
+
+    streams = []
+
+    def recorded(seed, b):
+        g = np.random.Generator(np.random.Philox(key=[seed, b]))
+        streams.append((b, g))
+        return g
+
+    monkeypatch.setattr(montecarlo, "simulate", no_raw_run)
+    monkeypatch.setattr(montecarlo, "_batch_rng", recorded)
+    batches = list(conditional_batches(scheme, net, sim, t))
+    assert [p.shape for p in batches] == [(3, 100), (3, 100), (3, 50)]
+    for (b, used), p in zip(streams, batches):
+        replay = rng(sim.seed, b)
+        d2 = np.cumsum(replay.standard_exponential((p.shape[1], K_COND)), axis=1) \
+            / (math.pi * net.lambda_bs)
+        # The batch consumed exactly these draws and nothing more.
+        assert np.array_equal(used.random(4), replay.random(4))
+        for j in range(p.shape[1]):
+            for i, ti in enumerate(t):
+                assert p[i, j] == pytest.approx(
+                    reference_trial_coverage(net, scheme, d2[j], ti), rel=1e-10)
+
+    first_two = list(conditional_batches(
+        scheme, net, SimulationSpec(trials=200, seed=17, batch_size=100), t))
+    for a, b in zip(first_two, batches):
+        assert np.array_equal(a, b)
+    curve = empirical_coverage(scheme, net, sim, [-10.0, 0.0, 10.0])
+    assert curve == empirical_coverage(scheme, net, sim, [-10.0, 0.0, 10.0])
+    assert curve.values == pytest.approx(
+        np.concatenate(batches, axis=1).mean(axis=1), rel=1e-12)
+
