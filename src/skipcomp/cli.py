@@ -132,8 +132,7 @@ def _write(path: Optional[str], fmt: str, config: RunConfig,
         lines = [f"# skipcomp {__version__}",
                  f"# config: {json.dumps(config.as_dict(), sort_keys=True)}",
                  ",".join(columns)]
-        lines += [",".join("" if v is None else _fmt(v) for v in row)
-                  for row in rows]
+        lines += _csv_rows(rows)
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(
@@ -155,10 +154,25 @@ def _write(path: Optional[str], fmt: str, config: RunConfig,
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".10g")
-    return str(v)
+def _csv_rows(rows: List[List]) -> List[str]:
+    """Each row as one CSV line: a float cell in ``.10g``, None as an empty
+    cell, anything else as ``str()`` gives it.
+
+    One ``%`` operation formats a row; its format is built once per sequence
+    of cell types, which is the same for every row of most tables.
+    """
+    formats = {}
+    lines = []
+    for row in rows:
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                "" if t is type(None) else "%.10g" if issubclass(t, float)
+                else "%s" for t in types)
+        lines.append(fmt % (tuple(v for v in row if v is not None)
+                            if type(None) in types else tuple(row)))
+    return lines
 
 
 def _grid(lo: float, hi: float, step: float, what: str) -> List[float]:

@@ -13,6 +13,7 @@ call returns a float.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -86,14 +87,16 @@ def conditional_pdf_r1_given_r2(x, r2):
 
 
 def sample_ordered_squared_distances(lam: float, rng: np.random.Generator,
-                                     size: int, k: int) -> np.ndarray:
-    """Squared distances (km^2) to the k nearest BSs, shape (size, k), ascending.
+                                     size: int, k: int,
+                                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Squared distances (km^2) to the k nearest BSs, shape (size, k), ascending,
+    written into ``out`` if given.
 
     Row i is the cumulative sum of k iid Exp(pi*lambda) gaps: exact, with no
     count, window or sort.
     """
     _check_lambda(lam)
-    d2 = rng.standard_exponential((size, k))
+    d2 = rng.standard_exponential((size, k), out=out)
     np.cumsum(d2, axis=1, out=d2)
     d2 *= 1.0 / (math.pi * lam)
     return d2

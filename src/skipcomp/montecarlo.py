@@ -40,14 +40,22 @@ batch draws, in order, the (n, K) distance gaps, the n powers of BS 1, the
 (n, K-3) tail powers and the (n, 2) real then imaginary parts of the gains of
 BSs 2 and 3.  Identical (seed, trials, batch_size, params) therefore
 reproduce results bit-exactly, the first k batches of a run equal a k-batch
-run, and batches are independent by construction.
+run, and batches are independent by construction.  So batches may run
+concurrently, on up to one thread per usable CPU; their results are reduced
+in batch order, and each batch is checked by its own gain guard (an
+overflowing or subnormal gain raises FloatingPointError), so the thread
+count changes no output.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +65,7 @@ from .model import VARIANTS, Association, NetworkParams, SchemeSpec, db_to_linea
 from .numerics import agg_exponent
 
 K_COND = 20  # nearest BSs a conditional trial draws; the rest is the exact tail
+TAIL_BLOCK = 2**15  # tail powers drawn per block: a 256 KB buffer, reused
 
 
 def default_window_radius(lam: float, min_expected: float = 500.0) -> float:
@@ -111,16 +120,62 @@ def _batches(spec: SimulationSpec) -> Iterator[Tuple[np.random.Generator, int]]:
         yield _batch_rng(spec.seed, b), min(spec.batch_size, spec.trials - start)
 
 
-def _batch_sinrs(params: NetworkParams, k: int, n: int,
-                 rng: np.random.Generator) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-    """SINRs of all variants for n independent realizations of the K nearest BSs."""
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _map_batches(fn: Callable, batches: Iterator[tuple]) -> Iterator:
+    """fn(*args) for each args of ``batches``, in order.
+
+    ``batches`` is read on the calling thread; the calls run on up to one
+    thread per usable CPU, at most that many in flight, so a long run holds
+    O(workers) batch results at once.  numpy keeps its error state per
+    thread, so each call enters the guard itself: an overflowing gain (inf,
+    then inf/inf = nan) or a subnormal one (lost precision) raises
+    FloatingPointError.
+    """
+    def guarded(args: tuple):
+        with np.errstate(over="raise", under="raise", invalid="raise"):
+            return fn(*args)
+
+    head = list(islice(batches, _usable_cpus()))  # also bounds the workers
+    if len(head) <= 1:  # one batch or one CPU: the calling thread runs them
+        if head:
+            yield guarded(head.pop())
+        yield from map(guarded, batches)
+        return
+    with ThreadPoolExecutor(len(head)) as pool:
+        pending = deque(pool.submit(guarded, args) for args in head)
+        del head  # the pending calls hold their arguments until they return
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(guarded, args) for args in islice(batches, 1))
+            yield result
+
+
+def _batch_sinrs(params: NetworkParams, k: int, n: int, rng: np.random.Generator,
+                 work: Optional[np.ndarray] = None
+                 ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """SINRs of all variants for n independent realizations of the K nearest BSs;
+    ``work``, if given, is the (n, K) array the batch overwrites."""
     eta, p, s2 = params.eta, params.tx_power, params.noise_power
-    d2 = sample_ordered_squared_distances(params.lambda_bs, rng, n, k)
+    d2 = sample_ordered_squared_distances(params.lambda_bs, rng, n, k, out=work)
     nearest = np.sqrt(d2[:, :3])
 
-    gain = p * np.power(d2, -0.5 * eta, out=d2)
+    gain = np.power(d2, -0.5 * eta, out=d2)  # the one (n, K) array of the batch
+    gain *= p
     t1 = gain[:, 0] * rng.standard_exponential(n)
-    tail = np.einsum("ij,ij->i", gain[:, 3:], rng.standard_exponential((n, k - 3)))
+    # The (n, K-3) tail powers, drawn in row blocks: the stream is read in the
+    # same order as one (n, K-3) draw, so the values are the same.
+    rows = min(n, max(1, TAIL_BLOCK // (k - 3)))
+    buf, tail = np.empty((rows, k - 3)), np.empty(n)
+    for i in range(0, n, rows):
+        block = buf[:n - i]
+        rng.standard_exponential(out=block)
+        np.einsum("ij,ij->i", gain[i:i + rows, 3:], block, out=tail[i:i + rows])
     h = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) \
         * np.sqrt(0.5 * gain[:, 1:3])  # received amplitudes of BSs 2 and 3
     t2, t3 = (np.abs(h) ** 2).T
@@ -143,10 +198,12 @@ def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
     """Run the full simulation; one shared pass covers every scheme variant."""
     radius = spec.radius_for(params.lambda_bs)
     k = round(params.lambda_bs * math.pi * radius * radius)
-    # An overflowing gain (inf, then inf/inf = nan) or a subnormal one (lost
-    # precision) raises FloatingPointError.
-    with np.errstate(over="raise", under="raise", invalid="raise"):
-        batches = [_batch_sinrs(params, k, n, rng) for rng, n in _batches(spec)]
+    # Each batch's (n, K) array is allocated on the calling thread: freed, it
+    # returns to that thread's heap, not to a worker's malloc arena, which
+    # glibc would keep resident.
+    batches = list(_map_batches(
+        lambda rng, n, work: _batch_sinrs(params, k, n, rng, work),
+        ((rng, n, np.empty((n, k))) for rng, n in _batches(spec))))
     return SimulationResult(
         sinr={s.scheme_id: np.concatenate([sinr[s.scheme_id] for sinr, _ in batches])
               for s in VARIANTS},
@@ -159,14 +216,18 @@ def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
 
 def coverage_from_result(result: SimulationResult, scheme: SchemeSpec,
                          thresholds_db: Sequence[float]) -> CoverageCurve:
-    """Empirical coverage curve with 95% CI half-widths."""
+    """Empirical coverage curve with 95% CI half-widths.
+
+    The binomial variance is floored at one trial, 1/n, so a share of 0 or 1
+    (no trial or every trial covered) does not get a zero-width interval.
+    """
     sinr = result.sinr[scheme.scheme_id]
     n = len(sinr)
     values, cis = [], []
     for t_db in thresholds_db:
         phat = float((sinr > db_to_linear(t_db)).mean())
         values.append(phat)
-        cis.append(1.96 * math.sqrt(phat * (1.0 - phat) / n))
+        cis.append(1.96 * math.sqrt(max(phat * (1.0 - phat), 1.0 / n) / n))
     return CoverageCurve(
         thresholds_db=tuple(thresholds_db), values=tuple(values),
         scheme=scheme, params=result.params, source=CurveSource.MONTE_CARLO,
@@ -210,9 +271,11 @@ def conditional_batches(scheme: SchemeSpec, params: NetworkParams,
                         sim: SimulationSpec,
                         thresholds: np.ndarray) -> Iterator[np.ndarray]:
     """``trial_coverage`` of each batch of the run, in order."""
-    for rng, n in _batches(sim):
+    def batch(rng: np.random.Generator, n: int) -> np.ndarray:
         d2 = sample_ordered_squared_distances(params.lambda_bs, rng, n, K_COND)
-        yield trial_coverage(params, scheme, d2, thresholds)
+        return trial_coverage(params, scheme, d2, thresholds)
+
+    return _map_batches(batch, _batches(sim))
 
 
 def conditional_coverage(scheme: SchemeSpec, params: NetworkParams,

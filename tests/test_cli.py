@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from skipcomp import checks, coverage, throughput
@@ -12,6 +14,7 @@ from skipcomp.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    _csv_rows,
     build_config,
     load_config,
     main,
@@ -78,6 +81,22 @@ def test_coverage_mc_mode_fills_ci(tmp_path, config_file):
     assert rows[0][header.index("analytic")] == ""
     assert float(rows[0][header.index("mc_ci_halfwidth")]) > 0
     assert rows[0][header.index("trials")] == "2000"
+
+
+def test_raw_mc_ci_is_not_zero_width_when_no_trial_is_covered(tmp_path):
+    out = tmp_path / "cov.csv"
+    code = run(["coverage", "--scheme", "skip-comp", "--mode", "both",
+                "--trials", "2000", "--tmin-db", "20", "--tmax-db", "40",
+                "--tstep-db", "10", "--out", str(out)])
+    assert code == EXIT_OK
+    _, header, rows = read_rows(out)
+    col = {name: [float(r[header.index(name)]) for r in rows]
+           for name in ("analytic", "mc", "mc_ci_halfwidth")}
+    assert col["mc"] == [0.0, 0.0, 0.0]
+    # The variance is floored at one trial in 2,000: 1.96 / 2000.
+    assert col["mc_ci_halfwidth"] == [pytest.approx(1.96 / 2000)] * 3
+    for a, m, ci in zip(col["analytic"], col["mc"], col["mc_ci_halfwidth"]):
+        assert abs(a - m) <= ci
 
 
 def test_coherent_analytic_is_config_error(tmp_path, config_file, capsys):
@@ -203,6 +222,26 @@ def test_throughput_rows(tmp_path, config_file):
     assert at_coop / at_best - 1.0 == pytest.approx(0.15, abs=0.02)
 
 
+def per_cell_csv_row(row):
+    """The CSV row as a format(v, '.10g') / str() call per cell would give it."""
+    return ",".join("" if v is None else format(v, ".10g")
+                    if isinstance(v, float) else str(v) for v in row)
+
+
+def test_csv_rows_match_per_cell_formatting():
+    g = np.random.default_rng(5)
+    floats = (g.uniform(-1.0, 1.0, 80_000)
+              * 10.0 ** g.uniform(-300, 300, 80_000)).tolist()
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+               2.2250738585072014e-308, 1e300, 123456789.0, 0.1, 1.0, 1e-5]
+    rows = [floats[i:i + 8] for i in range(0, len(floats), 8)]
+    rows += [special[i:] + special[:i] for i in range(len(special))]
+    rows += [[1.5, "skip-comp+ic", None, 2000, -7, None, True, np.float64(0.3),
+              np.float64(1e-320), np.int64(12)],
+             [None, None], ["a%sb", 2.0], [], [None]]
+    assert _csv_rows(rows) == [per_cell_csv_row(r) for r in rows]
+
+
 def test_distance_dump(tmp_path, config_file):
     out = tmp_path / "d.csv"
     code = run(["distance", "--config", config_file, "--trials", "500",
@@ -245,6 +284,10 @@ MC_COMMANDS = {
 GUARDED_COMMANDS = {**MC_COMMANDS, "coverage-best": [
     "coverage", "--scheme", "best", "--mode", "mc", "--tstep-db", "10",
     "--trials", "2000"]}
+#: Three batches each, so the batches run on worker threads, where numpy's
+#: error state is not the caller's.
+GUARDED_COMMANDS.update({f"{cmd}-3-batches": argv + ["--trials", "6000"]
+                         for cmd, argv in list(GUARDED_COMMANDS.items())})
 
 
 @pytest.mark.parametrize("cmd", sorted(GUARDED_COMMANDS))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,47 @@ def test_simulate_deterministic_given_seed():
     for k in a.sinr:
         assert (a.sinr[k] == b.sinr[k]).all()
     assert (a.distances == b.distances).all()
+
+
+def every_estimate(spec):
+    """The raw SINRs and distances and the conditional curves of one run."""
+    raw = simulate(NET, spec)
+    curves = [conditional_coverage(s, NET, spec, [-10.0, 0.0, 10.0, 20.0])
+              for s in SINGLE_SERVER]
+    return raw, [(c.values, c.ci_halfwidths) for c in curves]
+
+
+@pytest.mark.parametrize("workers", [None, 3], ids=["default", "3"])
+def test_threaded_batches_equal_serial_bit_for_bit(workers, monkeypatch):
+    """trials=5000 in batches of 2000: three batches, the last one ragged."""
+    spec = SimulationSpec(trials=5000, seed=123, batch_size=2000)
+    if workers is not None:
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+    threaded_raw, threaded_curves = every_estimate(spec)
+
+    def no_pool(*args):
+        raise AssertionError("a one-CPU run opened a thread pool")
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+    serial_raw, serial_curves = every_estimate(spec)
+    assert threaded_raw.sinr.keys() == serial_raw.sinr.keys()
+    for key, sinr in serial_raw.sinr.items():
+        assert np.array_equal(threaded_raw.sinr[key], sinr), key
+    assert np.array_equal(threaded_raw.distances, serial_raw.distances)
+    assert threaded_curves == serial_curves
+
+
+def test_batch_sinrs_hold_one_n_by_k_array():
+    n, k = 2000, 500
+    g = rng(1)
+    tracemalloc.start()
+    try:
+        montecarlo._batch_sinrs(NetworkParams(), k, n, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * k * 8
 
 
 def test_different_seeds_differ():
