@@ -85,19 +85,17 @@ def eta4_equivalence(params: NetworkParams, ic: bool = False) -> List[Check]:
     ]
 
 
-def mc_vs_analytic(params: NetworkParams, result: montecarlo.SimulationResult,
+def mc_vs_analytic(params: NetworkParams, sim: montecarlo.SimulationSpec,
                    thresholds_db) -> List[Check]:
-    """Largest |MC - analytic| coverage over the grid, per analytic variant.
-
-    Each MC curve comes from the estimator ``coverage --mode mc`` uses, with
-    the raw run's spec; the raw run itself serves the skip-comp pair."""
-    if result.spec.trials < MC_MIN_TRIALS:
+    """Largest |MC - analytic| coverage over the grid, per analytic variant,
+    each MC curve from the estimator ``coverage --mode mc`` uses."""
+    if sim.trials < MC_MIN_TRIALS:
         raise ValueError(f"MC check needs >= {MC_MIN_TRIALS} trials")
     out = []
     for scheme in ANALYTIC_VARIANTS:
         analytic = cov.coverage_curve(scheme, params, thresholds_db).values
-        mc = montecarlo.empirical_coverage(scheme, params, result.spec,
-                                           thresholds_db, result).values
+        mc = montecarlo.empirical_coverage(scheme, params, sim,
+                                           thresholds_db).values
         out.append(Check(f"mc_vs_analytic_{scheme.scheme_id}",
                          max(abs(a - m) for a, m in zip(analytic, mc)),
                          MC_VS_ANALYTIC_TOL))

@@ -295,8 +295,7 @@ def cmd_validate(args: argparse.Namespace, config: RunConfig) -> int:
         print("mc_vs_analytic: skipped: underpowered "
               f"(trials={sim.trials} < {checks.MC_MIN_TRIALS})")
     else:
-        results += checks.mc_vs_analytic(
-            net, montecarlo.simulate(net, sim), range(-10, 21, 3))
+        results += checks.mc_vs_analytic(net, sim, range(-10, 21, 3))
     for c in results:
         print(f"{c.name}: {'pass' if c.ok else 'FAIL'}")
     return EXIT_OK if all(c.ok for c in results) else 1

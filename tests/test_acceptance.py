@@ -70,10 +70,9 @@ def test_criterion_3_skipping_averages():
 
 
 def test_criterion_4_coverage_cross_validation(mc_100k):
-    # Each variant from the estimator `coverage --mode mc` prints: the
-    # conditional one for best, skip and skip+ic (1e5 trials of mc_100k's
-    # spec), the raw 1e5 trials of mc_100k for the skip-comp pair.
-    results = checks.mc_vs_analytic(NET, mc_100k, range(-10, 21))
+    # Each variant from the estimator `coverage --mode mc` prints, the
+    # conditional one, over 1e5 trials of mc_100k's spec.
+    results = checks.mc_vs_analytic(NET, mc_100k.spec, range(-10, 21))
     worst = max(c.deviation for c in results)
     report("4 analytic-vs-mc", all(c.ok for c in results),
            f"max dev {worst:.4f} at 1e5 trials "

@@ -21,6 +21,10 @@ from skipcomp.cli import (
 )
 
 
+NOISY_CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "data", "noisy_config.json")  # noise 1e3 W
+
+
 def run(args):
     return main(args)
 
@@ -84,19 +88,49 @@ def test_coverage_mc_mode_fills_ci(tmp_path, config_file):
 
 
 def test_raw_mc_ci_is_not_zero_width_when_no_trial_is_covered(tmp_path):
+    """From 20 dB on, analytic skip-comp lies within the printed CI; the
+    coherent estimate's raw part, the excess over non-coherent, covers no
+    trial there, and its CI is still floored at one trial in 2,000."""
+    argv = ["--trials", "2000", "--tmin-db", "20", "--tmax-db", "40",
+            "--tstep-db", "10"]
     out = tmp_path / "cov.csv"
-    code = run(["coverage", "--scheme", "skip-comp", "--mode", "both",
-                "--trials", "2000", "--tmin-db", "20", "--tmax-db", "40",
-                "--tstep-db", "10", "--out", str(out)])
+    code = run(["coverage", "--scheme", "skip-comp", "--mode", "both", *argv,
+                "--out", str(out)])
     assert code == EXIT_OK
     _, header, rows = read_rows(out)
-    col = {name: [float(r[header.index(name)]) for r in rows]
-           for name in ("analytic", "mc", "mc_ci_halfwidth")}
-    assert col["mc"] == [0.0, 0.0, 0.0]
-    # The variance is floored at one trial in 2,000: 1.96 / 2000.
-    assert col["mc_ci_halfwidth"] == [pytest.approx(1.96 / 2000)] * 3
-    for a, m, ci in zip(col["analytic"], col["mc"], col["mc_ci_halfwidth"]):
+    base = {name: [float(r[header.index(name)]) for r in rows]
+            for name in ("analytic", "mc", "mc_ci_halfwidth")}
+    for a, m, ci in zip(base["analytic"], base["mc"], base["mc_ci_halfwidth"]):
         assert abs(a - m) <= ci
+    code = run(["coverage", "--scheme", "skip-comp", "--coherent", "--mode",
+                "mc", *argv, "--out", str(out)])
+    assert code == EXIT_OK
+    _, header, rows = read_rows(out)
+    coh = {name: [float(r[header.index(name)]) for r in rows]
+           for name in ("mc", "mc_ci_halfwidth")}
+    assert coh["mc"] == base["mc"]  # a zero excess
+    for ci, ci_base in zip(coh["mc_ci_halfwidth"], base["mc_ci_halfwidth"]):
+        assert ci == pytest.approx(math.hypot(ci_base, 1.96 / 2000), rel=1e-9)
+        assert ci >= 1.96 / 2000
+
+
+@pytest.mark.parametrize("eta", ["4", "2.5"])
+@pytest.mark.parametrize("ic", [[], ["--ic"]], ids=["no-ic", "ic"])
+def test_coherent_mc_never_below_non_coherent(tmp_path, eta, ic):
+    """The benchmark's coherent and monotonicity checks, on every printed
+    cell of ten seeds."""
+    for seed in range(1, 11):
+        mc = {}
+        for flags in ([], ["--coherent"]):
+            out = tmp_path / f"{seed}{flags}.csv"
+            assert run(["coverage", "--scheme", "skip-comp", *ic, *flags,
+                        "--mode", "mc", "--trials", "2000", "--eta", eta,
+                        "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+            _, header, rows = read_rows(out)
+            mc[bool(flags)] = [float(r[header.index("mc")]) for r in rows]
+        assert len(mc[True]) == 31
+        assert all(c >= b for c, b in zip(mc[True], mc[False])), seed
+        assert all(b <= a for a, b in zip(mc[True], mc[True][1:])), seed
 
 
 def test_coherent_analytic_is_config_error(tmp_path, config_file, capsys):
@@ -280,10 +314,12 @@ MC_COMMANDS = {
 }
 
 
-#: The same guard on the conditional estimator (skip-comp and table1 are raw).
+#: The same guard on the paired coherent estimate and the single-server
+#: conditional one (table1 is raw; coverage is conditional skip-comp).
 GUARDED_COMMANDS = {**MC_COMMANDS, "coverage-best": [
     "coverage", "--scheme", "best", "--mode", "mc", "--tstep-db", "10",
-    "--trials", "2000"]}
+    "--trials", "2000"], "coverage-coherent": MC_COMMANDS["coverage"] + [
+    "--coherent"]}
 #: Three batches each, so the batches run on worker threads, where numpy's
 #: error state is not the caller's.
 GUARDED_COMMANDS.update({f"{cmd}-3-batches": argv + ["--trials", "6000"]
@@ -345,6 +381,18 @@ def test_validate_underpowered_mc_is_skipped(tmp_path, config_file, capsys):
     assert code == EXIT_OK
     assert "skipped: underpowered" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("noise", [[], ["--config", NOISY_CONFIG]],
+                         ids=["noise-free", "noisy"])
+def test_validate_mc_vs_analytic_passes_at_eta_2_5(noise, capsys):
+    """A raw K = 500 skip-comp pair read ~0.06 high here and failed."""
+    assert run(["validate", "--eta", "2.5", "--trials", "20000", *noise]) \
+        == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    mc = [ln for ln in lines if ln.startswith("mc_vs_analytic_")]
+    assert len(mc) == 5
+    assert all(ln.endswith(": pass") for ln in mc)
 
 
 def test_validate_bad_config(tmp_path, capsys):

@@ -10,8 +10,11 @@ from skipcomp.coverage import best_connected_closed_form, coverage_curve
 from skipcomp.distances import sample_ordered_squared_distances
 from skipcomp.model import ANALYTIC_VARIANTS, Association, NetworkParams, SchemeSpec
 from skipcomp.montecarlo import (
+    COOP_BLOCK,
     K_COND,
     SimulationSpec,
+    binomial_ci,
+    coherent_coverage,
     conditional_batches,
     conditional_coverage,
     coverage_from_result,
@@ -23,11 +26,14 @@ from skipcomp.montecarlo import (
 )
 
 NET = NetworkParams(lambda_bs=70.0, eta=4.0)
-SINGLE_SERVER = ANALYTIC_VARIANTS[:3]  # best, skip, skip+ic
+COOP, COOP_IC = ANALYTIC_VARIANTS[3:]  # skip-comp, skip-comp+ic
+COHERENT = (SchemeSpec(Association.SKIP_COOP, coherent=True),
+            SchemeSpec(Association.SKIP_COOP, ic=True, coherent=True))
 
 
-def rng(seed=0, batch=0):
-    return np.random.Generator(np.random.Philox(key=[seed, batch]))
+def rng(seed=0, batch=0, block=0):
+    return np.random.Generator(np.random.Philox(key=[seed, batch],
+                                                counter=[0, 0, block, 0]))
 
 
 # --------------------------------------------------------------------------
@@ -79,8 +85,8 @@ def test_simulate_deterministic_given_seed():
 def every_estimate(spec):
     """The raw SINRs and distances and the conditional curves of one run."""
     raw = simulate(NET, spec)
-    curves = [conditional_coverage(s, NET, spec, [-10.0, 0.0, 10.0, 20.0])
-              for s in SINGLE_SERVER]
+    curves = [empirical_coverage(s, NET, spec, [-10.0, 0.0, 10.0, 20.0])
+              for s in ANALYTIC_VARIANTS + COHERENT]
     return raw, [(c.values, c.ci_halfwidths) for c in curves]
 
 
@@ -292,7 +298,7 @@ def test_no_cancellation_when_nearest_bs_dominates():
 
 
 # --------------------------------------------------------------------------
-# Conditional estimator (best, skip, skip+ic)
+# Conditional estimator (every non-coherent variant)
 # --------------------------------------------------------------------------
 
 def test_conditional_best_connected_is_unbiased_at_eta_2_5():
@@ -318,7 +324,7 @@ def test_conditional_agrees_with_raw_indicator(eta):
     grid = [-10, -5, 0, 5]
     sim = SimulationSpec(trials=20_000, seed=8)
     raw = simulate(net, sim)
-    for scheme in SINGLE_SERVER:
+    for scheme in ANALYTIC_VARIANTS:
         cond = conditional_coverage(scheme, net, sim, grid)
         ind = coverage_from_result(raw, scheme, grid)
         for c, cc, i, ci in zip(cond.values, cond.ci_halfwidths, ind.values,
@@ -330,9 +336,14 @@ def test_conditional_ic_dominates_and_curves_fall_per_trial():
     net = NetworkParams(lambda_bs=70.0, eta=3.5, noise_power=1e3)
     d2 = sample_ordered_squared_distances(net.lambda_bs, rng(3), 2000, K_COND)
     t = 10.0 ** (np.arange(-10.0, 41.0) / 10.0)
-    best, skip, skip_ic = (trial_coverage(net, s, d2, t) for s in SINGLE_SERVER)
+    best, skip, skip_ic, coop, coop_ic = (trial_coverage(net, s, d2, t)
+                                          for s in ANALYTIC_VARIANTS)
     assert (skip_ic >= skip).all()
-    for p in (best, skip, skip_ic):
+    assert (coop_ic >= coop).all()
+    # Joint transmission adds BS 3 to the signal and removes it as interferer.
+    assert (coop >= skip).all()
+    assert (coop_ic >= skip_ic).all()
+    for p in (best, skip, skip_ic, coop, coop_ic):
         assert ((p >= 0.0) & (p <= 1.0)).all()
         assert (np.diff(p, axis=0) <= 0.0).all()
         assert (np.diff(p.mean(axis=1)) <= 0.0).all()
@@ -341,41 +352,44 @@ def test_conditional_ic_dominates_and_curves_fall_per_trial():
 def test_conditional_probability_underflows_to_zero_without_raising():
     net = NetworkParams(lambda_bs=70.0, eta=4.0, noise_power=1e3)
     d2 = sample_ordered_squared_distances(net.lambda_bs, rng(4), 100, K_COND)
-    for scheme in SINGLE_SERVER:
+    for scheme in ANALYTIC_VARIANTS:
         assert (trial_coverage(net, scheme, d2, np.array([1e300])) == 0.0).all()
 
 
 def reference_trial_coverage(params, scheme, d2, t):
     """One trial's conditional coverage at linear threshold t, from the
     formula: a log1p sum over the interferers among the K nearest BSs, the
-    noise and the PPP tail beyond the K-th, with scipy's 2F1."""
+    noise and the PPP tail beyond the K-th, with scipy's 2F1.  Non-coherent
+    joint transmission from BSs 2 and 3 is received with gain g2 + g3."""
     eta, p = params.eta, params.tx_power
     gain = [p * x ** (-eta / 2.0) for x in d2]
-    serving = 1 if scheme.association is Association.SKIP_NO_COOP else 0
+    serving = {Association.BEST_CONNECTED: {0}, Association.SKIP_NO_COOP: {1},
+               Association.SKIP_COOP: {1, 2}}[scheme.association]
     cancelled = {0} if scheme.ic else set()
-    s = t / gain[serving]
+    s = t / math.fsum(gain[i] for i in serving)
     x = s * gain[-1]
     tail = 2.0 * x / (eta - 2.0) * special.hyp2f1(
         1.0, 1.0 - 2.0 / eta, 2.0 - 2.0 / eta, -x)
     return math.exp(-math.fsum(math.log1p(s * g) for i, g in enumerate(gain)
-                               if i != serving and i not in cancelled)
+                               if i not in serving and i not in cancelled)
                     - s * params.noise_power
                     - math.pi * params.lambda_bs * d2[-1] * tail)
 
 
-@pytest.mark.parametrize("scheme", SINGLE_SERVER, ids=lambda s: s.scheme_id)
+@pytest.mark.parametrize("scheme", ANALYTIC_VARIANTS, ids=lambda s: s.scheme_id)
 def test_conditional_batches_draw_only_the_nearest_distances(scheme, monkeypatch):
     net = NetworkParams(lambda_bs=70.0, eta=3.5, noise_power=1e3)
     sim = SimulationSpec(trials=250, seed=17, batch_size=100)
     t = np.array([0.1, 1.0, 10.0])
+    block = COOP_BLOCK if scheme.association is Association.SKIP_COOP else 0
 
     def no_raw_run(*args):
-        raise AssertionError("the single-server path ran simulate")
+        raise AssertionError("the conditional path ran simulate")
 
     streams = []
 
-    def recorded(seed, b):
-        g = np.random.Generator(np.random.Philox(key=[seed, b]))
+    def recorded(seed, b, block=0):
+        g = rng(seed, b, block)
         streams.append((b, g))
         return g
 
@@ -384,7 +398,7 @@ def test_conditional_batches_draw_only_the_nearest_distances(scheme, monkeypatch
     batches = list(conditional_batches(scheme, net, sim, t))
     assert [p.shape for p in batches] == [(3, 100), (3, 100), (3, 50)]
     for (b, used), p in zip(streams, batches):
-        replay = rng(sim.seed, b)
+        replay = rng(sim.seed, b, block)
         d2 = np.cumsum(replay.standard_exponential((p.shape[1], K_COND)), axis=1) \
             / (math.pi * net.lambda_bs)
         # The batch consumed exactly these draws and nothing more.
@@ -403,3 +417,127 @@ def test_conditional_batches_draw_only_the_nearest_distances(scheme, monkeypatch
     assert curve.values == pytest.approx(
         np.concatenate(batches, axis=1).mean(axis=1), rel=1e-12)
 
+
+@pytest.mark.parametrize("scheme", [COOP, COOP_IC], ids=lambda s: s.scheme_id)
+def test_conditional_cooperative_is_unbiased_at_eta_2_5(scheme):
+    """At eta = 2.5 the raw K = 500 skip-comp reads ~0.06 high at -10 dB; the
+    conditional estimate keeps every BS beyond the 20th in its tail.
+
+    Above ~15 dB the per-trial probabilities are heavy-tailed and the printed
+    1.96*sd/sqrt(n) understates the error, so the CI is floored at the
+    binomial one of the larger of the two values, as the benchmark's checks
+    do.  At -10 dB three such CIs are ~0.02, a third of the raw bias.
+    """
+    net = NetworkParams(lambda_bs=70.0, eta=2.5)
+    grid = list(range(-10, 21, 2))
+    sim = SimulationSpec(trials=20_000, seed=2026)
+    mc = empirical_coverage(scheme, net, sim, grid)
+    analytic = coverage_curve(scheme, net, grid).values
+    for a, m, ci in zip(analytic, mc.values, mc.ci_halfwidths):
+        ci = max(ci, binomial_ci(max(a, m), sim.trials))
+        assert abs(a - m) <= 3.0 * ci, (a, m, ci)
+
+
+# --------------------------------------------------------------------------
+# Paired coherent estimate
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scheme", COHERENT, ids=lambda s: s.scheme_id)
+def test_coherent_is_least_conditional_plus_raw_excess(scheme):
+    """Each value is the least of C(x) + E(x) over every x <= T, by brute
+    force: at T, and just below each rise of the excess E, a raw trial's
+    non-coherent SINR where coherent is higher."""
+    net = NetworkParams(lambda_bs=70.0, eta=3.5, noise_power=1e3)
+    sim = SimulationSpec(trials=600, seed=31, batch_size=250)
+    grid = [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 40.0]
+    base = SchemeSpec(Association.SKIP_COOP, ic=scheme.ic)
+    coh = empirical_coverage(scheme, net, sim, grid)
+    cond = empirical_coverage(base, net, sim, grid)
+    raw = simulate(net, sim)
+    nc, co = raw.sinr[base.scheme_id], raw.sinr[scheme.scheme_id]
+    rises = np.unique(nc[nc < co])
+    just_below = np.concatenate(list(conditional_batches(base, net, sim, rises)),
+                                axis=1).mean(axis=1) \
+        + [float(((nc < b) & (co >= b)).mean()) for b in rises]
+    lowered = 0
+    for i, t_db in enumerate(grid):
+        t = 10.0 ** (t_db / 10.0)
+        excess = float(((co > t) & (nc <= t)).mean())
+        at_t = cond.values[i] + excess
+        least = min(at_t, just_below[rises <= t].min(initial=np.inf))
+        assert coh.values[i] == pytest.approx(min(least, 1.0), rel=1e-12)
+        assert coh.values[i] >= cond.values[i]
+        lowered += least < at_t
+        assert coh.ci_halfwidths[i] == pytest.approx(math.hypot(
+            cond.ci_halfwidths[i], binomial_ci(excess, sim.trials)), rel=1e-12)
+    assert lowered > 0
+    # No raw trial is covered at 40 dB: the excess still gets a CI.
+    assert coh.ci_halfwidths[-1] >= 1.96 / sim.trials
+
+
+def test_coherent_cell_does_not_depend_on_the_grid():
+    """A cell's value and CI are the same in every grid that holds its
+    threshold: a 0.5 dB grid, coarse ones, single thresholds, any order."""
+    sim = SimulationSpec(trials=2000, seed=9)
+    grids = ([-10.0, 0.0, 10.0], [5.0], [15.0, -7.5, 2.5], [-0.5],
+             list(np.arange(-10.0, 20.5, 5.0)))
+    for eta in (2.5, 4.0):
+        net = NetworkParams(lambda_bs=70.0, eta=eta)
+        for scheme in COHERENT:
+            fine = empirical_coverage(scheme, net, sim,
+                                      list(np.arange(-20.0, 20.5, 0.5)))
+            cells = dict(zip(fine.thresholds_db,
+                             zip(fine.values, fine.ci_halfwidths)))
+            for grid in grids:
+                curve = empirical_coverage(scheme, net, sim, grid)
+                assert list(zip(curve.values, curve.ci_halfwidths)) == \
+                    [cells[t] for t in grid], (eta, scheme.scheme_id, grid)
+
+
+def test_coherent_parts_read_disjoint_stream_words(monkeypatch):
+    """The raw excess reads counter block 0 of each batch's Philox stream and
+    the conditional part starts 2^128 words later, so no word is shared."""
+    sim = SimulationSpec(trials=2500, seed=5, batch_size=1000)
+    used = []
+
+    def recorded(seed, b, block=0):
+        g = rng(seed, b, block)
+        used.append((b, block, g))
+        return g
+
+    monkeypatch.setattr(montecarlo, "_batch_rng", recorded)
+    coherent_coverage(COHERENT[0], NET, sim, [0.0])
+    assert sorted((b, block) for b, block, _ in used) == \
+        [(b, block) for b in range(3) for block in (0, COOP_BLOCK)]
+    for b, block, g in used:
+        counter = [int(c) for c in g.bit_generator.state["state"]["counter"]]
+        # Each stream read fewer than 2^64 blocks past its start.
+        assert counter[1:] == [0, block, 0], (b, block, counter)
+        assert counter[0] > 0
+
+
+def test_coherent_never_below_non_coherent_and_never_rising():
+    """The excess rises by 1/n steps where the conditional part falls by
+    less; here the sums rise between neighbouring thresholds, the printed
+    curve does not, in any threshold order."""
+    sim = SimulationSpec(trials=2000, seed=9)
+    grid = list(np.arange(-40.0, 41.0, 0.5))
+    rising = 0
+    for eta in (2.5, 4.0):
+        net = NetworkParams(lambda_bs=70.0, eta=eta)
+        raw = simulate(net, sim)
+        for scheme in COHERENT:
+            base = SchemeSpec(Association.SKIP_COOP, ic=scheme.ic)
+            coh = empirical_coverage(scheme, net, sim, grid).values
+            nc = empirical_coverage(base, net, sim, grid).values
+            assert all(c >= b for c, b in zip(coh, nc)), (eta, scheme.scheme_id)
+            assert all(0.0 <= c <= 1.0 for c in coh)
+            assert all(b <= a for a, b in zip(coh, coh[1:]))
+            sums = [b + float(((raw.sinr[scheme.scheme_id] > x)
+                               & (raw.sinr[base.scheme_id] <= x)).mean())
+                    for b, x in zip(nc, 10.0 ** (np.array(grid) / 10.0))]
+            rising += sum(b > a for a, b in zip(sums, sums[1:]))
+            shuffled = grid[::-1]
+            assert empirical_coverage(scheme, net, sim, shuffled).values \
+                == pytest.approx(coh[::-1], rel=1e-15)
+    assert rising > 0
