@@ -266,10 +266,9 @@ def cmd_throughput(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_distance(args: argparse.Namespace, config: RunConfig) -> int:
     lam = config.network.lambda_bs
-    rng = np.random.Generator(np.random.Philox(key=[config.simulation.seed, 0]))
     draws = distances.sample_ordered_distances_array(
-        lam, rng, min(config.simulation.trials, 100_000)
-    )
+        lam, montecarlo._batch_rng(config.simulation.seed, 0),
+        min(config.simulation.trials, 100_000))
     r1, r2, r3 = draws.T
     rows = np.column_stack([
         draws,

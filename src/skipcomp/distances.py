@@ -2,9 +2,10 @@
 
 For a test user at the origin, the squared distances to the BSs of a planar
 PPP of intensity lambda form a 1-D PPP of rate pi*lambda (mapping theorem), so
-the squared distance to the k-th nearest BS is the sum of k iid Exp(pi*lambda)
-gaps.  Cumulative sums of such gaps give the k nearest BSs exactly and already
-sorted; the Monte Carlo oracle and the (r1, r2, r3) sampler both draw them so.
+v = pi*lambda*r^2 of the k-th nearest BS is the sum of k iid Exp(1) gaps.
+Cumulative sums of such gaps give the k nearest BSs exactly and already
+sorted, in units that do not depend on lambda; the Monte Carlo oracle draws
+them so, and the (r1, r2, r3) sampler scales them to km.
 
 The densities accept floats or numpy arrays (evaluated elementwise); a scalar
 call returns a float.
@@ -86,27 +87,21 @@ def conditional_pdf_r1_given_r2(x, r2):
     return _density(2.0 * x / (r2 * r2), x <= r2)
 
 
-def sample_ordered_squared_distances(lam: float, rng: np.random.Generator,
-                                     size: int, k: int,
-                                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Squared distances (km^2) to the k nearest BSs, shape (size, k), ascending,
-    written into ``out`` if given.
-
-    Row i is the cumulative sum of k iid Exp(pi*lambda) gaps: exact, with no
-    count, window or sort.
-    """
-    _check_lambda(lam)
-    d2 = rng.standard_exponential((size, k), out=out)
-    np.cumsum(d2, axis=1, out=d2)
-    d2 *= 1.0 / (math.pi * lam)
-    return d2
+def sample_ordered_v(rng: np.random.Generator, size: int, k: int,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    """v = pi*lambda*r^2 of the k nearest BSs, shape (size, k), ascending, into
+    ``out`` if given: each row is the cumulative sum of k iid Exp(1) gaps,
+    exact, with no count, window or sort, and the same at every intensity."""
+    v = rng.standard_exponential((size, k), out=out)
+    return np.cumsum(v, axis=1, out=v)
 
 
 def sample_ordered_distances_array(
     lam: float, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Draw `size` exact (r1, r2, r3) triples; returns an array of shape (size, 3)."""
-    return np.sqrt(sample_ordered_squared_distances(lam, rng, size, 3))
+    """`size` exact (r1, r2, r3) triples in km, shape (size, 3), from v."""
+    _check_lambda(lam)
+    return np.sqrt(sample_ordered_v(rng, size, 3) * (1.0 / (math.pi * lam)))
 
 
 def sample_ordered_distances(lam: float, rng: np.random.Generator) -> OrderedDistances:

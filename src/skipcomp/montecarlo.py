@@ -1,9 +1,12 @@
 """Monte Carlo oracle: the nearest BSs of a PPP, Rayleigh fading, per-scheme SINR.
 
 Geometry.  Squared distances from the origin to a planar PPP of intensity
-lambda form a 1-D PPP of rate pi*lambda, so each trial draws its nearest BSs
-exactly, already sorted, as cumulative sums of Exp(pi*lambda) gaps
-(``distances.sample_ordered_squared_distances``).
+lambda form a 1-D PPP of rate pi*lambda, so each trial draws v = pi*lambda*r^2
+of its nearest BSs exactly, already sorted, as cumulative sums of Exp(1) gaps
+(``distances.sample_ordered_v``).  A BS's gain is v^(-eta/2) and the noise
+nu = sigma^2/(P*(pi*lambda)^(eta/2)) (``_gains``), which leaves every SINR
+as it is in km and watts: lambda enters only through nu and the raw window's
+K, so noise-free output is the same at every lambda.
 
 Two estimators share that generator; ``empirical_coverage`` picks one by
 variant, and ``coverage --mode mc`` and ``validate`` both go through it.
@@ -12,14 +15,14 @@ variant, and ``coverage --mode mc`` and ``validate`` both go through it.
   nearest BSs and no fading.  Under Rayleigh fading the coverage given the
   geometry is a product of Laplace transforms (Andrews, Baccelli and Ganti,
   2011): prod 1/(1 + s*g_i) over the interferers among BSs 1..K_COND, times
-  exp(-s*sigma^2), times exp(-pi*lambda*r_K^2 * agg_exponent(eta, s*g_K)),
-  the PPP Laplace functional of every BS beyond the K-th (Haenggi, 2012), with
-  g_i = P*r_i^-eta and s = T/S.  The serving gain S is g_1 (best), g_2 (skip)
+  exp(-s*nu), times exp(-v_K * agg_exponent(eta, s*g_K)), the PPP Laplace
+  functional of every BS beyond the K-th (Haenggi, 2012), with g_i =
+  v_i^(-eta/2) and s = T/S.  The serving gain S is g_1 (best), g_2 (skip)
   or g_2 + g_3 (skip-comp: the non-coherent joint signal |h_2 + h_3|^2 is
   exponential with that mean; Tanbourgi et al., 2014); the interferers are the
   other BSs, less BS 1 under IC.  The estimate is the trial mean of these
-  probabilities and its CI half-width 1.96*sd/sqrt(n); it has no truncation
-  bias at any eta > 2.
+  probabilities and its CI half-width 1.96*sd/sqrt(n), the variance floored
+  at one trial as in ``binomial_ci``; it has no truncation bias at any eta > 2.
 * Raw (the spectral efficiency, and the coherent excess below): a trial draws
   the K nearest BSs and their fading, and the estimate is the share of trials
   whose SINR exceeds T.  BSs beyond the K-th are ignored.  K =
@@ -27,8 +30,9 @@ variant, and ``coverage --mode mc`` and ``validate`` both go through it.
   is the configured ``window_radius_km`` or, by default, the radius holding
   500 BSs on average (so K = 500).  BSs 2 and 3 get complex Gaussian gains,
   which the coherent and non-coherent CoMP numerators need; every other BS
-  gets an Exp(1) power.  Each variant's interference is a sum of non-negative
-  terms (t1, t2, t3 and the tail beyond BS 3), never a difference, so a
+  gets an Exp(1) power.  ``SERVING`` names each variant's signal; its
+  interference is a sum of non-negative terms (BSs 1-3 that neither serve
+  nor are cancelled, then the tail beyond BS 3), never a difference, so a
   dominant nearest BS cannot cancel the tail.  One realization yields the
   SINR of every variant.
 
@@ -45,10 +49,10 @@ independent, so the CI half-width is sqrt(ci_cond^2 + ci_excess^2), the
 excess taking the raw binomial CI.
 
 Randomness contract: trials are processed in fixed-size batches; batch b of a
-run with seed s uses an independent Philox counter-based stream keyed by
-(s, b).  Each stream is read from one of two counter blocks: block 0 starts
-at counter 0, block 1 at 2^128 (``Philox.jumped()``), so no two estimators
-share a word.  A raw batch reads block 0: in order, the (n, K) distance gaps,
+run with seed s (0 <= s < 2^63) uses an independent Philox counter-based
+stream keyed by (s, b).  Each stream is read from one of two counter blocks:
+block 0 starts at counter 0, block 1 at 2^128 (``Philox.jumped()``), so no
+two estimators share a word.  A raw batch reads block 0: in order, the (n, K) distance gaps,
 the n powers of BS 1, the (n, K-3) tail powers and the (n, 2) real then
 imaginary parts of the gains of BSs 2 and 3.  A conditional batch draws only
 the (n, K_COND) distance gaps, from block 0 for best, skip and skip+ic and
@@ -57,9 +61,9 @@ coherent pair's conditional part reuses.  Identical (seed, trials,
 batch_size, params) therefore reproduce results bit-exactly, the first k
 batches of a run equal a k-batch run, and batches are independent by
 construction.  So batches may run concurrently, on up to one thread per
-usable CPU; their results are reduced in batch order, and each batch is
-checked by its own gain guard (an overflowing or subnormal gain raises
-FloatingPointError), so the thread count changes no output.
+usable CPU; their results are reduced in batch order, so the thread count
+changes no output.  A gain that overflows or turns subnormal, as at eta in
+the hundreds, raises FloatingPointError in the batch that meets it.
 """
 
 from __future__ import annotations
@@ -69,13 +73,13 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import islice, starmap
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .coverage import CoverageCurve, CurveSource
-from .distances import sample_ordered_squared_distances
+from .distances import sample_ordered_v
 from .model import VARIANTS, Association, NetworkParams, SchemeSpec, db_to_linear
 from .numerics import agg_exponent
 
@@ -99,6 +103,8 @@ class SimulationSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.seed < 2**63:
+            raise ValueError(f"seed must be in [0, 2^63), got {self.seed}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.window_radius is not None and not (self.window_radius > 0):
@@ -120,7 +126,6 @@ class SimulationResult:
     """Per-variant SINR arrays from a shared set of realizations."""
 
     sinr: Dict[str, np.ndarray]
-    distances: np.ndarray  # (trials, 3)
     redraws: int  # always 0: the K-nearest generator never redraws
     spec: SimulationSpec
     params: NetworkParams
@@ -129,7 +134,7 @@ class SimulationResult:
 def _batch_rng(seed: int, batch_index: int, block: int = 0) -> np.random.Generator:
     """Batch ``batch_index``'s stream, from counter ``block`` * 2^128 on."""
     return np.random.Generator(np.random.Philox(
-        key=[seed & (2**64 - 1), batch_index], counter=[0, 0, block, 0]))
+        key=[seed, batch_index], counter=[0, 0, block, 0]))
 
 
 def _batches(spec: SimulationSpec,
@@ -153,65 +158,78 @@ def _map_batches(fn: Callable, batches: Iterator[tuple]) -> Iterator:
     ``batches`` is read on the calling thread; the calls run on up to one
     thread per usable CPU, at most that many in flight, so a long run holds
     O(workers) batch results at once.  numpy keeps its error state per
-    thread, so each call enters the guard itself: an overflowing gain (inf,
-    then inf/inf = nan) or a subnormal one (lost precision) raises
-    FloatingPointError.
+    thread, so ``fn`` sets any it needs itself.
     """
-    def guarded(args: tuple):
-        with np.errstate(over="raise", under="raise", invalid="raise"):
-            return fn(*args)
-
     head = list(islice(batches, _usable_cpus()))  # also bounds the workers
     if len(head) <= 1:  # one batch or one CPU: the calling thread runs them
         if head:
-            yield guarded(head.pop())
-        yield from map(guarded, batches)
+            yield fn(*head.pop())
+        yield from starmap(fn, batches)
         return
     with ThreadPoolExecutor(len(head)) as pool:
-        pending = deque(pool.submit(guarded, args) for args in head)
+        pending = deque(pool.submit(fn, *args) for args in head)
         del head  # the pending calls hold their arguments until they return
         while pending:
             result = pending.popleft().result()
-            pending.extend(pool.submit(guarded, args) for args in islice(batches, 1))
+            pending.extend(pool.submit(fn, *args) for args in islice(batches, 1))
             yield result
 
 
+#: Per association: the serving BSs (0-based, among the nearest) and the BS
+#: that interferes unless cancelled by IC; every BS after these interferes.
+SERVING = {
+    Association.BEST_CONNECTED: ((0,), 1),
+    Association.SKIP_NO_COOP: ((1,), 0),
+    Association.SKIP_COOP: ((1, 2), 0),
+}
+
+
+def _gains(params: NetworkParams, v: np.ndarray,
+           out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
+    """Gains v^(-eta/2) of the BSs at v = pi*lambda*r^2 (into ``out``, if
+    given), and the noise in the same unit, nu = sigma^2/(P*(pi*lambda)^(eta/2)),
+    formed in log space: 0 exactly without noise, inf (coverage 0) where it
+    overflows.  A gain that overflows or turns subnormal raises
+    FloatingPointError."""
+    with np.errstate(over="raise", under="raise", invalid="raise"):
+        gain = np.power(v, -0.5 * params.eta, out=out)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):  # log 0
+        nu = np.exp(np.log(params.noise_power) - np.log(params.tx_power)
+                    - 0.5 * params.eta * np.log(math.pi * params.lambda_bs))
+    return gain, float(nu)
+
+
 def _batch_sinrs(params: NetworkParams, k: int, n: int, rng: np.random.Generator,
-                 work: Optional[np.ndarray] = None
-                 ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+                 work: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:
     """SINRs of all variants for n independent realizations of the K nearest BSs;
-    ``work``, if given, is the (n, K) array the batch overwrites."""
-    eta, p, s2 = params.eta, params.tx_power, params.noise_power
-    d2 = sample_ordered_squared_distances(params.lambda_bs, rng, n, k, out=work)
-    nearest = np.sqrt(d2[:, :3])
-
-    gain = np.power(d2, -0.5 * eta, out=d2)  # the one (n, K) array of the batch
-    gain *= p
-    t1 = gain[:, 0] * rng.standard_exponential(n)
-    # The (n, K-3) tail powers, drawn in row blocks: the stream is read in the
-    # same order as one (n, K-3) draw, so the values are the same.
-    rows = min(n, max(1, TAIL_BLOCK // (k - 3)))
-    buf, tail = np.empty((rows, k - 3)), np.empty(n)
-    for i in range(0, n, rows):
-        block = buf[:n - i]
-        rng.standard_exponential(out=block)
-        np.einsum("ij,ij->i", gain[i:i + rows, 3:], block, out=tail[i:i + rows])
-    h = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) \
-        * np.sqrt(0.5 * gain[:, 1:3])  # received amplitudes of BSs 2 and 3
-    t2, t3 = (np.abs(h) ** 2).T
-    num_coop = np.abs(h[:, 0] + h[:, 1]) ** 2
-    num_coh = (np.abs(h[:, 0]) + np.abs(h[:, 1])) ** 2
-
-    sinr = {
-        "best": t1 / (t2 + t3 + tail + s2),
-        "skip": t2 / (t1 + t3 + tail + s2),
-        "skip+ic": t2 / (t3 + tail + s2),
-        "skip-comp": num_coop / (t1 + tail + s2),
-        "skip-comp+ic": num_coop / (tail + s2),
-        "skip-comp+coh": num_coh / (t1 + tail + s2),
-        "skip-comp+ic+coh": num_coh / (tail + s2),
-    }
-    return sinr, nearest
+    ``work``, if given, is the (n, K) array the batch overwrites.  A received
+    power or SINR that overflows raises FloatingPointError: its mean would be
+    inf."""
+    v = sample_ordered_v(rng, n, k, out=work)
+    gain, nu = _gains(params, v, out=v)  # the one (n, K) array of the batch
+    with np.errstate(over="raise"):
+        t1 = gain[:, 0] * rng.standard_exponential(n)
+        # The (n, K-3) tail powers, drawn in row blocks: the stream is read in
+        # the same order as one (n, K-3) draw, so the values are the same.
+        rows = min(n, max(1, TAIL_BLOCK // (k - 3)))
+        buf, tail = np.empty((rows, k - 3)), np.empty(n)
+        for i in range(0, n, rows):
+            block = buf[:n - i]
+            rng.standard_exponential(out=block)
+            np.einsum("ij,ij->i", gain[i:i + rows, 3:], block, out=tail[i:i + rows])
+        h = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) \
+            * np.sqrt(0.5 * gain[:, 1:3])  # received amplitudes of BSs 2 and 3
+        rx = (t1, *(np.abs(h) ** 2).T)  # received powers of BSs 1-3
+        # Joint transmission from BSs 2 and 3, non-coherent and coherent.
+        joint = {False: np.abs(h.sum(axis=1)) ** 2, True: np.abs(h).sum(axis=1) ** 2}
+        sinr = {}
+        for s in VARIANTS:
+            serving, near = SERVING[s.association]
+            signal = rx[serving[0]] if len(serving) == 1 else joint[s.coherent]
+            interferers = [rx[i] for i in range(3)
+                           if i not in serving and not (s.ic and i == near)]
+            sinr[s.scheme_id] = signal / sum(interferers + [tail, nu])
+    return sinr
 
 
 def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
@@ -225,9 +243,8 @@ def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
         lambda rng, n, work: _batch_sinrs(params, k, n, rng, work),
         ((rng, n, np.empty((n, k))) for rng, n in _batches(spec))))
     return SimulationResult(
-        sinr={s.scheme_id: np.concatenate([sinr[s.scheme_id] for sinr, _ in batches])
+        sinr={s.scheme_id: np.concatenate([sinr[s.scheme_id] for sinr in batches])
               for s in VARIANTS},
-        distances=np.concatenate([dists for _, dists in batches]),
         redraws=0,
         spec=spec,
         params=params,
@@ -256,42 +273,31 @@ def binomial_ci(phat: float, n: int) -> float:
     return 1.96 * math.sqrt(max(phat * (1.0 - phat), 1.0 / n) / n)
 
 
-#: Per association: the serving BSs (0-based, among the nearest) and the BS
-#: that interferes unless cancelled by IC; every BS after these interferes.
-SERVING = {
-    Association.BEST_CONNECTED: ((0,), 1),
-    Association.SKIP_NO_COOP: ((1,), 0),
-    Association.SKIP_COOP: ((1, 2), 0),
-}
-
-
-def trial_coverage(params: NetworkParams, scheme: SchemeSpec, d2: np.ndarray,
+def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
                    thresholds: np.ndarray) -> np.ndarray:
-    """Each trial's coverage probability given its squared distances d2
-    (shape (n, K), ascending) to the K nearest BSs, at each linear threshold:
-    shape (len(thresholds), n).  Non-coherent variants only."""
-    return _trial_coverage_at(params, scheme, d2)(thresholds)
+    """Each trial's coverage probability given v = pi*lambda*r^2 of its K
+    nearest BSs (shape (n, K), ascending), at each linear threshold: shape
+    (len(thresholds), n).  Non-coherent variants only."""
+    return _trial_coverage_at(params, scheme, v)(thresholds)
 
 
 def _trial_coverage_at(params: NetworkParams, scheme: SchemeSpec,
-                       d2: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """``trial_coverage`` of d2 as a function of the thresholds, its
+                       v: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``trial_coverage`` of v as a function of the thresholds, its
     threshold-free terms computed once."""
     serving_bs, near_bs = SERVING[scheme.association]
     far = max(*serving_bs, near_bs) + 1  # the first BS that always interferes
-    n, k = d2.shape
-    mass = math.pi * params.lambda_bs * d2[:, -1]  # mean BS count within r_K
-    # An overflowing or subnormal gain raises FloatingPointError, as in
-    # simulate; a probability that underflows to 0 is exact.
-    with np.errstate(over="raise", under="raise", invalid="raise"):
-        gain = params.tx_power * np.power(d2, -0.5 * params.eta)
+    n, k = v.shape
+    mass = v[:, -1].copy()  # mean BS count within r_K; ``at`` keeps no view of v
+    gain, nu = _gains(params, v)
+    # A probability that underflows to 0 is exact.
     with np.errstate(over="ignore", under="ignore", invalid="raise"):
         serving = sum(gain[:, i] for i in serving_bs)
         # Interference-to-signal gain ratios of the far BSs, one row per BS
         # so that the product over them runs along contiguous rows.
         ratio = np.divide(gain[:, far:].T, serving, out=np.empty((k - far, n)))
         near = None if scheme.ic else gain[:, near_bs] / serving
-        noise = params.noise_power / serving
+        noise = nu / serving
 
     def at(thresholds: np.ndarray) -> np.ndarray:
         out = np.empty((len(thresholds), n))
@@ -310,12 +316,6 @@ def _trial_coverage_at(params: NetworkParams, scheme: SchemeSpec,
     return at
 
 
-def _nearest(params: NetworkParams, rng: np.random.Generator,
-             n: int) -> np.ndarray:
-    """A conditional batch's draws: the (n, K_COND) nearest squared distances."""
-    return sample_ordered_squared_distances(params.lambda_bs, rng, n, K_COND)
-
-
 def _block(scheme: SchemeSpec) -> int:
     return COOP_BLOCK if scheme.association is Association.SKIP_COOP else 0
 
@@ -326,7 +326,8 @@ def conditional_batches(scheme: SchemeSpec, params: NetworkParams,
     """``trial_coverage`` of each batch of the run, in order; the cooperative
     variants draw from ``COOP_BLOCK``."""
     def batch(rng: np.random.Generator, n: int) -> np.ndarray:
-        return trial_coverage(params, scheme, _nearest(params, rng, n), thresholds)
+        return trial_coverage(params, scheme, sample_ordered_v(rng, n, K_COND),
+                              thresholds)
 
     return _map_batches(batch, _batches(sim, _block(scheme)))
 
@@ -334,20 +335,22 @@ def conditional_batches(scheme: SchemeSpec, params: NetworkParams,
 def _mean_and_ci(batches: Iterator[np.ndarray],
                  n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Mean of the per-trial probabilities of ``batches`` (n trials in all) at
-    each threshold, and its 95% CI half-widths 1.96*sd/sqrt(n)."""
+    each threshold, and its 95% CI half-widths 1.96*sd/sqrt(n), the variance
+    floored at one trial as in ``binomial_ci``: each probability lies in
+    [0, 1], so a run of n trials cannot resolve a mean below ~1/n."""
     # Per batch: the sum of its probabilities, their squared deviations from
     # its mean and its trial count, merged exactly, so a run holds one batch.
     parts = [(p.sum(axis=1), p.var(axis=1) * p.shape[1], p.shape[1])
              for p in batches]
     mean = sum(s for s, _, _ in parts) / n
     m2 = sum(dev + nb * (s / nb - mean) ** 2 for s, dev, nb in parts)
-    return mean, 1.96 * np.sqrt(m2 / max(n - 1, 1) / n)
+    return mean, 1.96 * np.sqrt(np.maximum(m2 / max(n - 1, 1), 1.0 / n) / n)
 
 
 def conditional_coverage(scheme: SchemeSpec, params: NetworkParams,
                          sim: SimulationSpec,
                          thresholds_db: Sequence[float]) -> CoverageCurve:
-    """Mean conditional coverage with 95% CI half-widths 1.96*sd/sqrt(n)."""
+    """Mean conditional coverage with 95% CI half-widths (``_mean_and_ci``)."""
     t = np.array([db_to_linear(t_db) for t_db in thresholds_db])
     mean, ci = _mean_and_ci(conditional_batches(scheme, params, sim, t), sim.trials)
     return CoverageCurve(
@@ -462,7 +465,8 @@ def coherent_coverage(scheme: SchemeSpec, params: NetworkParams,
     base = replace(scheme, coherent=False)
     t = np.array([db_to_linear(t_db) for t_db in thresholds_db])
     batches = list(_map_batches(
-        lambda rng, n: _trial_coverage_at(params, base, _nearest(params, rng, n)),
+        lambda rng, n: _trial_coverage_at(params, base,
+                                          sample_ordered_v(rng, n, K_COND)),
         _batches(sim, _block(base))))
 
     def cond(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

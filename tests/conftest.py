@@ -28,6 +28,5 @@ def mc_100k(big_mc):
     n = 100_000
     return dataclasses.replace(
         big_mc, sinr={k: v[:n] for k, v in big_mc.sinr.items()},
-        distances=big_mc.distances[:n],
         spec=dataclasses.replace(big_mc.spec, trials=n),
     )

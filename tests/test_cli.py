@@ -328,26 +328,64 @@ GUARDED_COMMANDS.update({f"{cmd}-3-batches": argv + ["--trials", "6000"]
 
 @pytest.mark.parametrize("cmd", sorted(GUARDED_COMMANDS))
 def test_mc_gain_overflow_exits_3(tmp_path, cmd, capsys):
-    # d^-eta overflows to inf at lambda = 1e160; inf/inf would print nan or 0.
-    # At lambda = 1e-160 it is subnormal and would print rows off by rounding.
-    for lam in ("1e160", "1e-160"):
-        out = tmp_path / "x.csv"
-        code = run(GUARDED_COMMANDS[cmd] + ["--lambda", lam, "--out", str(out)])
-        assert code == EXIT_NUMERIC
-        assert "numerical failure" in capsys.readouterr().err
-        assert not out.exists()
+    # At eta = 400 the gain v^-200 of a BS nearer than v = 0.03 overflows to
+    # inf (then inf/inf = nan), and that of the 500th BS is subnormal.
+    out = tmp_path / "x.csv"
+    code = run(GUARDED_COMMANDS[cmd] + ["--eta", "400", "--out", str(out)])
+    assert code == EXIT_NUMERIC
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", sorted(MC_COMMANDS))
-def test_mc_output_is_scale_free_from_lambda_1e_100_to_1e150(tmp_path, cmd):
-    rows = {}
-    for lam in ("70", "1e-100", "1e150"):
-        out = tmp_path / f"{lam}.csv"
-        assert run(MC_COMMANDS[cmd] + ["--lambda", lam, "--out", str(out)]) \
-            == EXIT_OK
-        rows[lam] = read_rows(out)[1:]  # all but the config header
-    assert rows["1e-100"] == rows["70"]
-    assert rows["1e150"] == rows["70"]
+def test_mc_output_is_scale_free_from_lambda_1e_minus160_to_1e160(tmp_path, cmd):
+    for seed in range(1, 7):
+        rows = {}
+        for lam in ("70", "1e-160", "1e-100", "1e150", "1e160"):
+            out = tmp_path / f"{lam}.csv"
+            assert run(MC_COMMANDS[cmd] + ["--lambda", lam, "--seed", str(seed),
+                                           "--out", str(out)]) == EXIT_OK
+            rows[lam] = read_rows(out)[1:]  # all but the config header
+        assert all(r == rows["70"] for r in rows.values()), seed
+
+
+def test_noisy_mc_prints_at_any_intensity(tmp_path):
+    """nu = sigma^2/(P*(pi*lambda)^2) underflows to 0 at lambda = 1e200, where
+    the output is the noise-free one, and overflows to inf at 1e-160, where
+    every trial's coverage is 0 and the CI the one-trial floor."""
+    def mc_rows(*extra):
+        out = tmp_path / "x.csv"
+        assert run(["coverage", "--mode", "mc", "--tstep-db", "10", "--trials",
+                    "2000", *extra, "--out", str(out)]) == EXIT_OK
+        return read_rows(out)[1:]  # all but the config header
+
+    noisy = ["--config", NOISY_CONFIG]
+    assert mc_rows(*noisy, "--lambda", "1e200") == mc_rows("--lambda", "1e200")
+    cells = [row[3:5] for row in mc_rows(*noisy, "--lambda", "1e-160")[1]]
+    assert cells == [["0", "0.00098"]] * 4  # 1.96/2000
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+@pytest.mark.parametrize("cmd", [["distance", "--trials", "5"],
+                                 ["coverage", "--mode", "mc", "--trials", "10"]],
+                         ids=["distance", "coverage"])
+def test_seed_outside_0_to_2_63_exits_2(tmp_path, cmd, seed, capsys):
+    out = tmp_path / "x.csv"
+    assert run(cmd + ["--seed", str(seed), "--out", str(out)]) == EXIT_CONFIG
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_seeds_give_different_streams(tmp_path):
+    rows = []
+    for seed in (2**63 - 2, 2**63 - 1):
+        for cmd in (["distance", "--trials", "5"],
+                    ["coverage", "--mode", "mc", "--trials", "10"]):
+            out = tmp_path / "x.csv"
+            assert run(cmd + ["--seed", str(seed), "--out", str(out)]) == EXIT_OK
+            rows.append(read_rows(out)[2])
+    assert rows[0] != rows[2]
+    assert rows[1] != rows[3]
 
 
 def test_throughput_integrates_each_spectral_efficiency_once(

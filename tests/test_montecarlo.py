@@ -7,7 +7,7 @@ from scipy import special, stats
 
 from skipcomp import montecarlo
 from skipcomp.coverage import best_connected_closed_form, coverage_curve
-from skipcomp.distances import sample_ordered_squared_distances
+from skipcomp.distances import sample_ordered_v
 from skipcomp.model import ANALYTIC_VARIANTS, Association, NetworkParams, SchemeSpec
 from skipcomp.montecarlo import (
     COOP_BLOCK,
@@ -41,18 +41,18 @@ def rng(seed=0, batch=0, block=0):
 # --------------------------------------------------------------------------
 
 def test_ppp_squared_distance_gaps_are_exponential():
-    """Squared distances of a planar PPP form a 1-D PPP of rate pi*lambda."""
-    lam = 50.0
-    d2 = sample_ordered_squared_distances(lam, rng(11), 200, 50)
-    gaps = np.diff(d2, axis=1, prepend=0.0).ravel()
-    stat = stats.kstest(gaps, stats.expon(scale=1.0 / (math.pi * lam)).cdf).statistic
+    """Squared distances of a planar PPP form a 1-D PPP of rate pi*lambda, so
+    v = pi*lambda*r^2 has Exp(1) gaps."""
+    v = sample_ordered_v(rng(11), 200, 50)
+    gaps = np.diff(v, axis=1, prepend=0.0).ravel()
+    stat = stats.kstest(gaps, stats.expon().cdf).statistic
     assert stat < 0.015
 
 
 def test_ppp_nearest_distance_matches_rayleigh():
     lam = 50.0
-    spec = SimulationSpec(trials=20_000, seed=12, window_radius=1.0)
-    nearest = simulate(NetworkParams(lambda_bs=lam, eta=4.0), spec).distances[:, 0]
+    v = sample_ordered_v(montecarlo._batch_rng(12, 0), 20_000, K_COND)
+    nearest = np.sqrt(v[:, 0] / (math.pi * lam))
     scale = 1.0 / math.sqrt(2.0 * math.pi * lam)
     stat = stats.kstest(nearest, stats.rayleigh(scale=scale).cdf).statistic
     assert stat < 0.015
@@ -79,11 +79,10 @@ def test_simulate_deterministic_given_seed():
     b = simulate(NET, spec)
     for k in a.sinr:
         assert (a.sinr[k] == b.sinr[k]).all()
-    assert (a.distances == b.distances).all()
 
 
 def every_estimate(spec):
-    """The raw SINRs and distances and the conditional curves of one run."""
+    """The raw SINRs and the conditional curves of one run."""
     raw = simulate(NET, spec)
     curves = [empirical_coverage(s, NET, spec, [-10.0, 0.0, 10.0, 20.0])
               for s in ANALYTIC_VARIANTS + COHERENT]
@@ -107,7 +106,6 @@ def test_threaded_batches_equal_serial_bit_for_bit(workers, monkeypatch):
     assert threaded_raw.sinr.keys() == serial_raw.sinr.keys()
     for key, sinr in serial_raw.sinr.items():
         assert np.array_equal(threaded_raw.sinr[key], sinr), key
-    assert np.array_equal(threaded_raw.distances, serial_raw.distances)
     assert threaded_curves == serial_curves
 
 
@@ -158,8 +156,6 @@ def test_ic_dominates_pointwise(big_mc):
 def test_all_sinr_nonnegative(big_mc):
     for k, v in big_mc.sinr.items():
         assert (v >= 0).all(), k
-    assert (big_mc.distances[:, 0] <= big_mc.distances[:, 1]).all()
-    assert (big_mc.distances[:, 1] <= big_mc.distances[:, 2]).all()
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +209,7 @@ def test_window_truncation_negligible():
     for t_db in (-10.0, 0.0, 10.0):
         t = 10 ** (t_db / 10)
         g = rng(int(t_db) + 100)
-        rx = sample_ordered_squared_distances(lam, g, trials, 2 * k) ** (-eta / 2) \
+        rx = sample_ordered_v(g, trials, 2 * k) ** (-eta / 2) \
             * g.exponential(1.0, (trials, 2 * k))
         sig = rx[:, 0]
         covered_full = (sig / rx[:, 1:].sum(axis=1) > t).sum()
@@ -227,7 +223,8 @@ def test_window_truncation_negligible():
 # --------------------------------------------------------------------------
 
 def replay_batch(params, seed, batch, n, k):
-    """The draws of batch `batch`, in the order the module docstring states."""
+    """The draws of batch `batch`, in the order the module docstring states,
+    with the squared distances in km^2."""
     g = np.random.Generator(np.random.Philox(key=[seed, batch]))
     d2 = np.cumsum(g.standard_exponential((n, k)), axis=1) \
         / (math.pi * params.lambda_bs)
@@ -271,7 +268,6 @@ def test_batch_sinrs_match_per_trial_reference(eta, noise):
     result = simulate(params, spec)
     d2, p1, tail, h = replay_batch(params, seed, 0, n, k)
     assert result.redraws == 0
-    np.testing.assert_allclose(result.distances, np.sqrt(d2[:, :3]), rtol=1e-12)
     for i in range(n):
         want = reference_sinrs(params, d2[i], p1[i], tail[i], h[i])
         for key, value in want.items():
@@ -334,9 +330,9 @@ def test_conditional_agrees_with_raw_indicator(eta):
 
 def test_conditional_ic_dominates_and_curves_fall_per_trial():
     net = NetworkParams(lambda_bs=70.0, eta=3.5, noise_power=1e3)
-    d2 = sample_ordered_squared_distances(net.lambda_bs, rng(3), 2000, K_COND)
+    v = sample_ordered_v(rng(3), 2000, K_COND)
     t = 10.0 ** (np.arange(-10.0, 41.0) / 10.0)
-    best, skip, skip_ic, coop, coop_ic = (trial_coverage(net, s, d2, t)
+    best, skip, skip_ic, coop, coop_ic = (trial_coverage(net, s, v, t)
                                           for s in ANALYTIC_VARIANTS)
     assert (skip_ic >= skip).all()
     assert (coop_ic >= coop).all()
@@ -351,15 +347,31 @@ def test_conditional_ic_dominates_and_curves_fall_per_trial():
 
 def test_conditional_probability_underflows_to_zero_without_raising():
     net = NetworkParams(lambda_bs=70.0, eta=4.0, noise_power=1e3)
-    d2 = sample_ordered_squared_distances(net.lambda_bs, rng(4), 100, K_COND)
+    v = sample_ordered_v(rng(4), 100, K_COND)
     for scheme in ANALYTIC_VARIANTS:
-        assert (trial_coverage(net, scheme, d2, np.array([1e300])) == 0.0).all()
+        assert (trial_coverage(net, scheme, v, np.array([1e300])) == 0.0).all()
+
+
+def test_conditional_ci_is_at_least_one_trial():
+    """Each per-trial probability lies in [0, 1], so a run of n trials cannot
+    resolve a mean below ~1/n: the CI is floored at the one-trial binomial
+    CI 1.96/n, also where every probability is 0 (noise nu = inf at lambda
+    1e-100) or heavy-tailed (eta 2.5 at 40 dB)."""
+    sim = SimulationSpec(trials=500, seed=3, batch_size=200)
+    floor = binomial_ci(0.0, sim.trials)
+    assert floor == pytest.approx(1.96 / sim.trials, rel=1e-15)
+    for net in (NetworkParams(lambda_bs=1e-100, noise_power=1e3),
+                NetworkParams(eta=2.5)):
+        for scheme in ANALYTIC_VARIANTS:
+            curve = conditional_coverage(scheme, net, sim, [-10.0, 10.0, 40.0])
+            assert min(curve.ci_halfwidths) >= floor, scheme.scheme_id
 
 
 def reference_trial_coverage(params, scheme, d2, t):
-    """One trial's conditional coverage at linear threshold t, from the
-    formula: a log1p sum over the interferers among the K nearest BSs, the
-    noise and the PPP tail beyond the K-th, with scipy's 2F1.  Non-coherent
+    """One trial's conditional coverage at linear threshold t, given its
+    squared distances d2 in km^2, from the formula: a log1p sum over the
+    interferers among the K nearest BSs, the noise and the PPP tail beyond
+    the K-th, with scipy's 2F1.  Non-coherent
     joint transmission from BSs 2 and 3 is received with gain g2 + g3."""
     eta, p = params.eta, params.tx_power
     gain = [p * x ** (-eta / 2.0) for x in d2]
