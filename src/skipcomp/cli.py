@@ -99,7 +99,7 @@ def build_config(raw: Dict) -> RunConfig:
             fields[section][name] = value
         config = RunConfig(**{section: cls(**fields[section])
                               for section, cls in _SECTIONS.items()})
-        config.simulation.radius_for(config.network.lambda_bs)  # window too small
+        config.simulation.window_bs(config.network.lambda_bs)  # window too small or large
         return config
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -5,8 +5,8 @@ lambda form a 1-D PPP of rate pi*lambda, so each trial draws v = pi*lambda*r^2
 of its nearest BSs exactly, already sorted, as cumulative sums of Exp(1) gaps
 (``distances.sample_ordered_v``).  A BS's gain is v^(-eta/2) and the noise
 nu = sigma^2/(P*(pi*lambda)^(eta/2)) (``_gains``), which leaves every SINR
-as it is in km and watts: lambda enters only through nu and the raw window's
-K, so noise-free output is the same at every lambda.
+as it is in km and watts: lambda enters only through nu and a configured
+raw window's K, so noise-free output is the same at every lambda.
 
 Two estimators share that generator; ``empirical_coverage`` picks one by
 variant, and ``coverage --mode mc`` and ``validate`` both go through it.
@@ -23,30 +23,25 @@ variant, and ``coverage --mode mc`` and ``validate`` both go through it.
   other BSs, less BS 1 under IC.  The estimate is the trial mean of these
   probabilities and its CI half-width 1.96*sd/sqrt(n), the variance floored
   at one trial as in ``binomial_ci``; it has no truncation bias at any eta > 2.
-* Raw (the spectral efficiency, and the coherent excess below): a trial draws
+* Raw (the spectral efficiency, and the coherent share below): a trial draws
   the K nearest BSs and their fading, and the estimate is the share of trials
-  whose SINR exceeds T.  BSs beyond the K-th are ignored.  K =
-  round(lambda*pi*R^2) is the expected BS count of a disc of radius R, where R
-  is the configured ``window_radius_km`` or, by default, the radius holding
-  500 BSs on average (so K = 500).  BSs 2 and 3 get complex Gaussian gains,
-  which the coherent and non-coherent CoMP numerators need; every other BS
-  gets an Exp(1) power.  ``SERVING`` names each variant's signal; its
-  interference is a sum of non-negative terms (BSs 1-3 that neither serve
-  nor are cancelled, then the tail beyond BS 3), never a difference, so a
-  dominant nearest BS cannot cancel the tail.  One realization yields the
-  SINR of every variant.
+  whose SINR exceeds T.  BSs beyond the K-th are ignored.  K is 500 by
+  default, or round(lambda*pi*R^2), the expected BS count of a disc of the
+  configured radius R = ``window_radius_km`` (``SimulationSpec.window_bs``).
+  BSs 2 and 3 get complex Gaussian gains, which the coherent and
+  non-coherent CoMP numerators need; every other BS gets an Exp(1) power.
+  ``SERVING`` names each variant's signal; its interference is a sum of
+  non-negative terms (BSs 1-3 that neither serve nor are cancelled, then the
+  tail beyond BS 3), never a difference, so a dominant nearest BS cannot
+  cancel the tail.  One realization yields the SINR of every variant.
 
-Coherent joint transmission has no product form.  Its estimate is paired: the
-conditional non-coherent value (the same bits the non-coherent variant
-prints) plus the raw excess, the share of raw trials that coherent covers and
-non-coherent does not.  The excess is >= 0 on every trial, so coherent
-coverage is never below non-coherent, at any threshold and after rounding.
-The excess rises in steps of 1/n, so the sum can rise with the threshold;
-each value is therefore the least sum at its threshold or any lower one (not
-only those of the grid, so a value does not depend on the other thresholds
-asked for), capped at 1.  The two parts read disjoint stream words and are
-independent, so the CI half-width is sqrt(ci_cond^2 + ci_excess^2), the
-excess taking the raw binomial CI.
+Coherent joint transmission has no product form.  Its estimate is the greater
+of the conditional non-coherent value (the same bits the non-coherent variant
+prints) and the raw coherent share, at each threshold, with the raw share's
+binomial CI.  Coherent covers every trial non-coherent covers, so the max
+drops only a raw share that reads below the non-coherent value.  Both parts
+are non-increasing, so coherent coverage never rises with the threshold, is
+never below non-coherent, and each value depends only on its own threshold.
 
 Randomness contract: trials are processed in fixed-size batches; batch b of a
 run with seed s (0 <= s < 2^63) uses an independent Philox counter-based
@@ -57,7 +52,7 @@ the n powers of BS 1, the (n, K-3) tail powers and the (n, 2) real then
 imaginary parts of the gains of BSs 2 and 3.  A conditional batch draws only
 the (n, K_COND) distance gaps, from block 0 for best, skip and skip+ic and
 from block 1 (``COOP_BLOCK``) for skip-comp and skip-comp+ic, which the
-coherent pair's conditional part reuses.  Identical (seed, trials,
+coherent estimate's conditional part reuses.  Identical (seed, trials,
 batch_size, params) therefore reproduce results bit-exactly, the first k
 batches of a run equal a k-batch run, and batches are independent by
 construction.  So batches may run concurrently, on up to one thread per
@@ -88,17 +83,12 @@ COOP_BLOCK = 1  # Philox counter block of the cooperative conditional draws
 TAIL_BLOCK = 2**15  # tail powers drawn per block: a 256 KB buffer, reused
 
 
-def default_window_radius(lam: float, min_expected: float = 500.0) -> float:
-    """Radius (km) such that the expected in-window BS count is min_expected."""
-    return math.sqrt(min_expected / (math.pi * lam))
-
-
 @dataclass(frozen=True)
 class SimulationSpec:
     trials: int = 100_000
     seed: int = 12345
     batch_size: int = 2000
-    window_radius: Optional[float] = None  # None: sized from the intensity
+    window_radius: Optional[float] = None  # None: the K = 500 nearest BSs
 
     def __post_init__(self):
         if self.trials < 1:
@@ -110,15 +100,17 @@ class SimulationSpec:
         if self.window_radius is not None and not (self.window_radius > 0):
             raise ValueError(f"window_radius must be > 0, got {self.window_radius}")
 
-    def radius_for(self, lam: float) -> float:
-        r = self.window_radius if self.window_radius is not None \
-            else default_window_radius(lam)
-        if lam * math.pi * r * r < 100.0:
-            raise ValueError(
-                "window too small: expected BS count "
-                f"{lam * math.pi * r * r:.1f} < 100"
-            )
-        return r
+    def window_bs(self, lam: float) -> int:
+        """K, the BS count of the raw window: round(lam*pi*R^2) for a
+        configured radius R, else 500."""
+        if self.window_radius is None:
+            return 500
+        mean = lam * math.pi * self.window_radius ** 2
+        if not math.isfinite(mean):
+            raise ValueError(f"window too large: expected BS count {mean}")
+        if mean < 100.0:
+            raise ValueError(f"window too small: expected BS count {mean:.1f} < 100")
+        return round(mean)
 
 
 @dataclass(frozen=True)
@@ -203,8 +195,8 @@ def _batch_sinrs(params: NetworkParams, k: int, n: int, rng: np.random.Generator
                  work: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:
     """SINRs of all variants for n independent realizations of the K nearest BSs;
     ``work``, if given, is the (n, K) array the batch overwrites.  A received
-    power or SINR that overflows raises FloatingPointError: its mean would be
-    inf."""
+    power that overflows raises FloatingPointError; an SINR that overflows is
+    inf, which is covered at every threshold."""
     v = sample_ordered_v(rng, n, k, out=work)
     gain, nu = _gains(params, v, out=v)  # the one (n, K) array of the batch
     with np.errstate(over="raise"):
@@ -222,20 +214,20 @@ def _batch_sinrs(params: NetworkParams, k: int, n: int, rng: np.random.Generator
         rx = (t1, *(np.abs(h) ** 2).T)  # received powers of BSs 1-3
         # Joint transmission from BSs 2 and 3, non-coherent and coherent.
         joint = {False: np.abs(h.sum(axis=1)) ** 2, True: np.abs(h).sum(axis=1) ** 2}
-        sinr = {}
+        parts = {}
         for s in VARIANTS:
             serving, near = SERVING[s.association]
             signal = rx[serving[0]] if len(serving) == 1 else joint[s.coherent]
             interferers = [rx[i] for i in range(3)
                            if i not in serving and not (s.ic and i == near)]
-            sinr[s.scheme_id] = signal / sum(interferers + [tail, nu])
-    return sinr
+            parts[s.scheme_id] = signal, sum(interferers + [tail, nu])
+    with np.errstate(over="ignore"):
+        return {key: signal / den for key, (signal, den) in parts.items()}
 
 
 def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
     """Run the full simulation; one shared pass covers every scheme variant."""
-    radius = spec.radius_for(params.lambda_bs)
-    k = round(params.lambda_bs * math.pi * radius * radius)
+    k = spec.window_bs(params.lambda_bs)
     # Each batch's (n, K) array is allocated on the calling thread: freed, it
     # returns to that thread's heap, not to a worker's malloc arena, which
     # glibc would keep resident.
@@ -278,18 +270,12 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
     """Each trial's coverage probability given v = pi*lambda*r^2 of its K
     nearest BSs (shape (n, K), ascending), at each linear threshold: shape
     (len(thresholds), n).  Non-coherent variants only."""
-    return _trial_coverage_at(params, scheme, v)(thresholds)
-
-
-def _trial_coverage_at(params: NetworkParams, scheme: SchemeSpec,
-                       v: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """``trial_coverage`` of v as a function of the thresholds, its
-    threshold-free terms computed once."""
     serving_bs, near_bs = SERVING[scheme.association]
     far = max(*serving_bs, near_bs) + 1  # the first BS that always interferes
     n, k = v.shape
-    mass = v[:, -1].copy()  # mean BS count within r_K; ``at`` keeps no view of v
+    mass = v[:, -1]  # mean BS count within r_K
     gain, nu = _gains(params, v)
+    out = np.empty((len(thresholds), n))
     # A probability that underflows to 0 is exact.
     with np.errstate(over="ignore", under="ignore", invalid="raise"):
         serving = sum(gain[:, i] for i in serving_bs)
@@ -298,22 +284,16 @@ def _trial_coverage_at(params: NetworkParams, scheme: SchemeSpec,
         ratio = np.divide(gain[:, far:].T, serving, out=np.empty((k - far, n)))
         near = None if scheme.ic else gain[:, near_bs] / serving
         noise = nu / serving
-
-    def at(thresholds: np.ndarray) -> np.ndarray:
-        out = np.empty((len(thresholds), n))
         x = np.empty_like(ratio)
-        with np.errstate(over="ignore", under="ignore", invalid="raise"):
-            for i, t in enumerate(thresholds):
-                np.multiply(ratio, t, out=x)
-                x += 1.0
-                den = np.multiply.reduce(x, axis=0)
-                if near is not None:  # the near BS is not cancelled
-                    den *= 1.0 + t * near
-                out[i] = np.exp(-t * noise - mass
-                                * agg_exponent(params.eta, t * ratio[-1])) / den
-        return out
-
-    return at
+        for i, t in enumerate(thresholds):
+            np.multiply(ratio, t, out=x)
+            x += 1.0
+            den = np.multiply.reduce(x, axis=0)
+            if near is not None:  # the near BS is not cancelled
+                den *= 1.0 + t * near
+            out[i] = np.exp(-t * noise - mass
+                            * agg_exponent(params.eta, t * ratio[-1])) / den
+    return out
 
 
 def _block(scheme: SchemeSpec) -> int:
@@ -360,138 +340,30 @@ def conditional_coverage(scheme: SchemeSpec, params: NetworkParams,
     )
 
 
-BOUND_SLACK = 1e-8  # relative slack of the convexity bounds, against rounding
-
-
-def _convex_lower_bound(kx: np.ndarray, kc: np.ndarray,
-                        x: np.ndarray) -> np.ndarray:
-    """A lower bound on C(x), for a non-increasing convex C known at the
-    ascending knots kx (values kc), at each x <= kx[-1].
-
-    The greater of two chord extensions: that of the first knot >= x and the
-    next, extended left to x (over at most 100 chord lengths), and that of
-    the two knots below x, extended right (if x is within 100 chord
-    lengths).  Each is lowered by BOUND_SLACK times the sum of the
-    magnitudes it is made of, so rounding in C cannot lift it above C(x).
-    """
-    k = np.searchsorted(kx, x, "left")
-    r = np.minimum(k + 1, len(kx) - 1)  # r = k at the last knot: no chord
-    i, j = np.maximum(k - 2, 0), np.maximum(k - 1, 0)
-    with np.errstate(all="ignore"):  # a far chord may overflow: dropped
-        d = np.minimum((kx[k] - x) / np.where(r > k, kx[r] - kx[k], np.inf),
-                       100.0)
-        right = kc[k] + (kc[k] - kc[r]) * d \
-            - BOUND_SLACK * (kc[k] + (kc[k] + kc[r]) * d)
-        d = (x - kx[j]) / np.where(k >= 2, kx[j] - kx[i], np.inf)
-        left = kc[j] - (kc[i] - kc[j]) * d \
-            - BOUND_SLACK * (kc[j] + (kc[i] + kc[j]) * d)
-        return np.where((k >= 2) & (d <= 100.0), np.maximum(right, left), right)
-
-
-def coherent_envelope(cond_mean: Callable[[np.ndarray], np.ndarray],
-                      t: np.ndarray, c_t: np.ndarray, nc: np.ndarray,
-                      coh: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """min over every linear threshold x <= T of C(x) + E(x), for each T of
-    t, and E(t).
-
-    C is the conditional coverage that ``cond_mean`` evaluates at an array of
-    thresholds (c_t: C(t)); E(x) is the share of the raw trials, with SINRs
-    nc and coh, for which nc <= x < coh.  E is a step function that rises by
-    1/n at such a trial's nc and falls at its coh, while C falls smoothly: it
-    is continuous and, as the mean of Laplace transforms in x (one per
-    trial), non-increasing and convex.  So over x <= T the least sum is the
-    least of C(T) + E(T) and, at each rise b <= T of E, the limit
-    C(b) + E(b-) just below it.  C is evaluated in rounds, only at rises
-    whose convexity bound on that limit is below the least sums found so far;
-    the others cannot be the least, so every value depends on its own T and
-    the draws alone.
-    """
-    n = len(nc)
-    boxed = nc < coh
-    lo, hi = np.sort(nc[boxed]), np.sort(coh[boxed])
-
-    def excess(x: np.ndarray, side: str) -> np.ndarray:
-        return (np.searchsorted(lo, x, side) - np.searchsorted(hi, x, side)) / n
-
-    order = np.argsort(t, kind="stable")
-    ts = t[order]
-    sums = c_t[order] + excess(ts, "right")
-    rises = np.unique(lo[lo <= ts[-1]])
-    below = excess(rises, "left")  # E(b-) at each rise b
-    limit = np.full(len(rises), np.inf)  # C(b) + E(b-), once evaluated
-    first = np.searchsorted(ts, rises, "left")  # the first T >= each rise
-    upto = np.searchsorted(rises, ts, "right")  # the rises <= each T
-    kx, knots = np.unique(ts, return_index=True)
-    kc = c_t[order][knots]
-    alive = np.arange(len(rises))  # rises neither evaluated nor ruled out
-    while True:
-        least = np.minimum(sums, np.concatenate(
-            ([np.inf], np.minimum.accumulate(limit)))[upto])
-        # A rise can only lower the least sums of the T above it.
-        room = np.maximum.accumulate(least[::-1])[::-1]
-        gap = _convex_lower_bound(kx, kc, rises[alive]) + below[alive] \
-            - room[first[alive]]
-        alive, gap = alive[gap < 0], gap[gap < 0]
-        if not alive.size:
-            values = np.empty_like(least)
-            values[order] = least
-            return values, excess(t, "right")
-        # Per round, the rise of least bound below each T: its sum, once
-        # known, mostly rules out the others.
-        by_t = np.lexsort((gap, first[alive]))
-        head = first[alive][by_t]
-        todo = alive[by_t[np.concatenate(([True], head[1:] != head[:-1]))]]
-        c = cond_mean(rises[todo])
-        limit[todo] = c + below[todo]
-        alive = np.setdiff1d(alive, todo, assume_unique=True)
-        kx, knots = np.unique(np.concatenate((kx, rises[todo])),
-                              return_index=True)
-        kc = np.concatenate((kc, c))[knots]
-
-
 def coherent_coverage(scheme: SchemeSpec, params: NetworkParams,
                       sim: SimulationSpec,
                       thresholds_db: Sequence[float]) -> CoverageCurve:
-    """Paired coherent estimate: the conditional non-coherent coverage plus
-    the share of raw trials that coherent covers and non-coherent does not,
-    each value the least such sum at its threshold or any lower one
-    (``coherent_envelope``), capped at 1; CI half-width
-    sqrt(ci_cond^2 + ci_excess^2), the excess taken at the threshold itself.
+    """Coherent coverage: at each threshold the greater of the conditional
+    non-coherent coverage and the raw coherent share, with the raw share's
+    binomial CI half-width.
 
-    The least sum keeps the curve non-increasing; as the conditional part is
-    non-increasing, never below it.  It lowers a cell by about the excess's
-    local fluctuation below the threshold, O(1/n), against a CI of
-    O(1/sqrt(n))."""
-    base = replace(scheme, coherent=False)
-    t = np.array([db_to_linear(t_db) for t_db in thresholds_db])
-    batches = list(_map_batches(
-        lambda rng, n: _trial_coverage_at(params, base,
-                                          sample_ordered_v(rng, n, K_COND)),
-        _batches(sim, _block(base))))
-
-    def cond(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return _mean_and_ci(_map_batches(lambda at: at(x), ((at,) for at in batches)),
-                            sim.trials)
-
-    mean, ci = cond(t)
-    result = simulate(params, sim)
-    least, excess = coherent_envelope(
-        lambda x: cond(x)[0], t, mean,
-        result.sinr[base.scheme_id], result.sinr[scheme.scheme_id])
-    return CoverageCurve(
-        thresholds_db=tuple(thresholds_db),
-        values=tuple(np.maximum(np.minimum(least, 1.0), mean).tolist()),
-        scheme=scheme, params=params, source=CurveSource.MONTE_CARLO,
-        ci_halfwidths=tuple(np.hypot(
-            ci, [binomial_ci(e, sim.trials) for e in excess]).tolist()),
-    )
+    Coherent joint transmission covers every trial non-coherent covers, so
+    the max drops only a raw share that reads below the non-coherent value.
+    The conditional part is bit for bit what the non-coherent variant
+    prints, and both parts are non-increasing, so the curve never rises and
+    is never below non-coherent; each cell depends only on its own
+    threshold."""
+    cond = conditional_coverage(replace(scheme, coherent=False), params, sim,
+                                thresholds_db)
+    raw = coverage_from_result(simulate(params, sim), scheme, thresholds_db)
+    return replace(raw, values=tuple(map(max, cond.values, raw.values)))
 
 
 def empirical_coverage(scheme: SchemeSpec, params: NetworkParams,
                        sim: SimulationSpec,
                        thresholds_db: Sequence[float]) -> CoverageCurve:
     """The MC coverage curve ``coverage --mode mc`` prints: conditional for
-    the non-coherent variants, paired for the coherent ones."""
+    the non-coherent variants, max(conditional, raw) for the coherent ones."""
     if scheme.coherent:
         return coherent_coverage(scheme, params, sim, thresholds_db)
     return conditional_coverage(scheme, params, sim, thresholds_db)

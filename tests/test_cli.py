@@ -19,6 +19,7 @@ from skipcomp.cli import (
     load_config,
     main,
 )
+from skipcomp.montecarlo import binomial_ci
 
 
 NOISY_CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -89,8 +90,8 @@ def test_coverage_mc_mode_fills_ci(tmp_path, config_file):
 
 def test_raw_mc_ci_is_not_zero_width_when_no_trial_is_covered(tmp_path):
     """From 20 dB on, analytic skip-comp lies within the printed CI; the
-    coherent estimate's raw part, the excess over non-coherent, covers no
-    trial there, and its CI is still floored at one trial in 2,000."""
+    coherent estimate's raw part, the raw coherent share, covers no trial
+    there, and its CI is still floored at one trial in 2,000."""
     argv = ["--trials", "2000", "--tmin-db", "20", "--tmax-db", "40",
             "--tstep-db", "10"]
     out = tmp_path / "cov.csv"
@@ -108,9 +109,9 @@ def test_raw_mc_ci_is_not_zero_width_when_no_trial_is_covered(tmp_path):
     _, header, rows = read_rows(out)
     coh = {name: [float(r[header.index(name)]) for r in rows]
            for name in ("mc", "mc_ci_halfwidth")}
-    assert coh["mc"] == base["mc"]  # a zero excess
-    for ci, ci_base in zip(coh["mc_ci_halfwidth"], base["mc_ci_halfwidth"]):
-        assert ci == pytest.approx(math.hypot(ci_base, 1.96 / 2000), rel=1e-9)
+    assert coh["mc"] == base["mc"]  # a zero raw share
+    for ci in coh["mc_ci_halfwidth"]:
+        assert ci == pytest.approx(binomial_ci(0.0, 2000), rel=1e-9)
         assert ci >= 1.96 / 2000
 
 
@@ -131,6 +132,22 @@ def test_coherent_mc_never_below_non_coherent(tmp_path, eta, ic):
         assert len(mc[True]) == 31
         assert all(c >= b for c, b in zip(mc[True], mc[False])), seed
         assert all(b <= a for a, b in zip(mc[True], mc[True][1:])), seed
+
+
+@pytest.mark.parametrize("eta", ["150", "170"])
+def test_coherent_mc_prints_where_a_raw_sinr_overflows(tmp_path, eta):
+    """At eta 150-186 every gain is finite but a raw SINR can exceed the
+    float range; it is inf, covered at every threshold, so the coherent
+    estimate prints, never below non-coherent."""
+    mc = {}
+    for flags in ([], ["--coherent"]):
+        out = tmp_path / f"{bool(flags)}.csv"
+        assert run(["coverage", "--scheme", "skip-comp", *flags, "--mode", "mc",
+                    "--eta", eta, "--trials", "2000", "--tstep-db", "10",
+                    "--out", str(out)]) == EXIT_OK
+        _, header, rows = read_rows(out)
+        mc[bool(flags)] = [float(r[header.index("mc")]) for r in rows]
+    assert all(c >= b for c, b in zip(mc[True], mc[False]))
 
 
 def test_coherent_analytic_is_config_error(tmp_path, config_file, capsys):
@@ -314,7 +331,7 @@ MC_COMMANDS = {
 }
 
 
-#: The same guard on the paired coherent estimate and the single-server
+#: The same guard on the coherent estimate and the single-server
 #: conditional one (table1 is raw; coverage is conditional skip-comp).
 GUARDED_COMMANDS = {**MC_COMMANDS, "coverage-best": [
     "coverage", "--scheme", "best", "--mode", "mc", "--tstep-db", "10",
@@ -347,6 +364,29 @@ def test_mc_output_is_scale_free_from_lambda_1e_minus160_to_1e160(tmp_path, cmd)
                                            "--out", str(out)]) == EXIT_OK
             rows[lam] = read_rows(out)[1:]  # all but the config header
         assert all(r == rows["70"] for r in rows.values()), seed
+
+
+@pytest.mark.parametrize("argv", [
+    MC_COMMANDS["table1"], MC_COMMANDS["coverage"] + ["--coherent"]])
+def test_raw_mc_prints_at_lambda_1e308(tmp_path, argv):
+    """The default raw window holds K = 500 BSs at any intensity, also
+    where sqrt(500/(pi*lambda)) underflows to 0."""
+    rows = {}
+    for lam in ("70", "1e308"):
+        out = tmp_path / f"{lam}.csv"
+        assert run(argv + ["--lambda", lam, "--out", str(out)]) == EXIT_OK
+        rows[lam] = read_rows(out)[1:]  # all but the config header
+    assert rows["1e308"] == rows["70"]
+
+
+def test_window_with_unrepresentable_count_exits_2(tmp_path, capsys):
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({"window_radius_km": 1.0}))
+    out = tmp_path / "x.csv"
+    assert run(["table1", "--lambda", "1e308", "--config", str(config),
+                "--out", str(out)]) == EXIT_CONFIG
+    assert "window too large" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_noisy_mc_prints_at_any_intensity(tmp_path):
@@ -485,6 +525,8 @@ def test_window_too_small_exits_2_before_the_analytic_curve(
 @pytest.mark.parametrize("argv", [
     ["throughput", "--eta", "1000"],
     ["table1", "--eta", "100", "--trials", "100"],
+    # The raw SINRs may overflow to inf here; the analytic SE still refuses.
+    ["table1", "--eta", "170", "--trials", "2000"],
 ])
 def test_unrepresentable_se_range_exits_3_at_once(tmp_path, argv, capsys):
     # e^(20*eta) overflows above eta = 35.49; the node count grows with eta.

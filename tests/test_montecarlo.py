@@ -18,7 +18,6 @@ from skipcomp.montecarlo import (
     conditional_batches,
     conditional_coverage,
     coverage_from_result,
-    default_window_radius,
     empirical_coverage,
     simulate,
     spectral_efficiency_from_result,
@@ -58,15 +57,21 @@ def test_ppp_nearest_distance_matches_rayleigh():
     assert stat < 0.015
 
 
-def test_default_window_radius_sizes_for_500_points():
-    r = default_window_radius(70.0)
-    assert 70.0 * math.pi * r * r == pytest.approx(500.0)
-
-
 def test_simulation_spec_rejects_tiny_window():
     spec = SimulationSpec(trials=10, window_radius=0.05)
     with pytest.raises(ValueError):
-        spec.radius_for(70.0)
+        spec.window_bs(70.0)
+
+
+def test_window_bs_is_500_by_default_at_any_intensity():
+    """The default K does not go through a radius, so it is 500 even where
+    sqrt(500/(pi*lambda)) underflows to 0; a configured radius whose
+    expected count overflows is refused."""
+    for lam in (1e-160, 70.0, 1e308):
+        assert SimulationSpec(trials=10).window_bs(lam) == 500
+    assert SimulationSpec(trials=10, window_radius=1.0).window_bs(70.0) == 220
+    with pytest.raises(ValueError, match="window too large"):
+        SimulationSpec(trials=10, window_radius=1.0).window_bs(1e308)
 
 
 # --------------------------------------------------------------------------
@@ -203,7 +208,7 @@ def test_window_truncation_negligible():
     summed over BSs 2..K and over BSs 2..2K.
     """
     lam, eta = NET.lambda_bs, NET.eta
-    k = round(lam * math.pi * default_window_radius(lam) ** 2)
+    k = SimulationSpec().window_bs(lam)
     trials = 5000
     deltas = []
     for t_db in (-10.0, 0.0, 10.0):
@@ -279,7 +284,7 @@ def test_no_cancellation_when_nearest_bs_dominates():
     BS 3 to full precision: it is never formed as total - t1 - t2 - t3."""
     batches, n = 10, 2000
     result = simulate(NET, SimulationSpec(trials=batches * n, seed=7, batch_size=n))
-    k = round(NET.lambda_bs * math.pi * default_window_radius(NET.lambda_bs) ** 2)
+    k = SimulationSpec().window_bs(NET.lambda_bs)
     for b in range(batches):
         d2, p1, tail, h = replay_batch(NET, 7, b, n, k)
         gain = NET.tx_power * d2 ** (-NET.eta / 2)
@@ -451,39 +456,31 @@ def test_conditional_cooperative_is_unbiased_at_eta_2_5(scheme):
 
 
 # --------------------------------------------------------------------------
-# Paired coherent estimate
+# Coherent estimate
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("scheme", COHERENT, ids=lambda s: s.scheme_id)
-def test_coherent_is_least_conditional_plus_raw_excess(scheme):
-    """Each value is the least of C(x) + E(x) over every x <= T, by brute
-    force: at T, and just below each rise of the excess E, a raw trial's
-    non-coherent SINR where coherent is higher."""
+def test_coherent_is_max_of_conditional_and_raw_share(scheme):
+    """Each value is the greater of the conditional non-coherent mean and the
+    raw coherent share at its threshold, by brute force over the per-trial
+    probabilities and SINRs; the CI is the raw share's binomial CI."""
     net = NetworkParams(lambda_bs=70.0, eta=3.5, noise_power=1e3)
     sim = SimulationSpec(trials=600, seed=31, batch_size=250)
     grid = [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 40.0]
+    t = 10.0 ** (np.array(grid) / 10.0)
     base = SchemeSpec(Association.SKIP_COOP, ic=scheme.ic)
     coh = empirical_coverage(scheme, net, sim, grid)
-    cond = empirical_coverage(base, net, sim, grid)
-    raw = simulate(net, sim)
-    nc, co = raw.sinr[base.scheme_id], raw.sinr[scheme.scheme_id]
-    rises = np.unique(nc[nc < co])
-    just_below = np.concatenate(list(conditional_batches(base, net, sim, rises)),
-                                axis=1).mean(axis=1) \
-        + [float(((nc < b) & (co >= b)).mean()) for b in rises]
-    lowered = 0
-    for i, t_db in enumerate(grid):
-        t = 10.0 ** (t_db / 10.0)
-        excess = float(((co > t) & (nc <= t)).mean())
-        at_t = cond.values[i] + excess
-        least = min(at_t, just_below[rises <= t].min(initial=np.inf))
-        assert coh.values[i] == pytest.approx(min(least, 1.0), rel=1e-12)
-        assert coh.values[i] >= cond.values[i]
-        lowered += least < at_t
-        assert coh.ci_halfwidths[i] == pytest.approx(math.hypot(
-            cond.ci_halfwidths[i], binomial_ci(excess, sim.trials)), rel=1e-12)
-    assert lowered > 0
-    # No raw trial is covered at 40 dB: the excess still gets a CI.
+    cond = np.concatenate(list(conditional_batches(base, net, sim, t)),
+                          axis=1).mean(axis=1)
+    sinr = simulate(net, sim).sinr[scheme.scheme_id]
+    from_raw = 0
+    for i, x in enumerate(t):
+        share = float((sinr > x).mean())
+        assert coh.values[i] == pytest.approx(max(cond[i], share), rel=1e-12)
+        assert coh.ci_halfwidths[i] == binomial_ci(share, sim.trials)
+        from_raw += share > cond[i]
+    assert 0 < from_raw < len(grid)  # both parts hold some cell
+    # No raw trial is covered at 40 dB: the share still gets a CI.
     assert coh.ci_halfwidths[-1] >= 1.96 / sim.trials
 
 
@@ -507,7 +504,7 @@ def test_coherent_cell_does_not_depend_on_the_grid():
 
 
 def test_coherent_parts_read_disjoint_stream_words(monkeypatch):
-    """The raw excess reads counter block 0 of each batch's Philox stream and
+    """The raw share reads counter block 0 of each batch's Philox stream and
     the conditional part starts 2^128 words later, so no word is shared."""
     sim = SimulationSpec(trials=2500, seed=5, batch_size=1000)
     used = []
@@ -529,15 +526,12 @@ def test_coherent_parts_read_disjoint_stream_words(monkeypatch):
 
 
 def test_coherent_never_below_non_coherent_and_never_rising():
-    """The excess rises by 1/n steps where the conditional part falls by
-    less; here the sums rise between neighbouring thresholds, the printed
-    curve does not, in any threshold order."""
+    """On a 0.5 dB grid the printed curve never rises and is never below
+    non-coherent, in any threshold order."""
     sim = SimulationSpec(trials=2000, seed=9)
     grid = list(np.arange(-40.0, 41.0, 0.5))
-    rising = 0
     for eta in (2.5, 4.0):
         net = NetworkParams(lambda_bs=70.0, eta=eta)
-        raw = simulate(net, sim)
         for scheme in COHERENT:
             base = SchemeSpec(Association.SKIP_COOP, ic=scheme.ic)
             coh = empirical_coverage(scheme, net, sim, grid).values
@@ -545,11 +539,6 @@ def test_coherent_never_below_non_coherent_and_never_rising():
             assert all(c >= b for c, b in zip(coh, nc)), (eta, scheme.scheme_id)
             assert all(0.0 <= c <= 1.0 for c in coh)
             assert all(b <= a for a, b in zip(coh, coh[1:]))
-            sums = [b + float(((raw.sinr[scheme.scheme_id] > x)
-                               & (raw.sinr[base.scheme_id] <= x)).mean())
-                    for b, x in zip(nc, 10.0 ** (np.array(grid) / 10.0))]
-            rising += sum(b > a for a, b in zip(sums, sums[1:]))
             shuffled = grid[::-1]
             assert empirical_coverage(scheme, net, sim, shuffled).values \
                 == pytest.approx(coh[::-1], rel=1e-15)
-    assert rising > 0
