@@ -41,6 +41,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+MAX_ROWS = 100_000  # most grid points a command takes, and distance rows
+
 
 class ConfigError(ValueError):
     pass
@@ -176,7 +178,8 @@ def _csv_rows(rows: List[List]) -> List[str]:
 
 
 def _grid(lo: float, hi: float, step: float, what: str) -> List[float]:
-    """lo, lo + step, ... up to hi (to the nearest step), as a list."""
+    """lo, lo + step, ... up to hi (to the nearest step), as a list of at
+    most MAX_ROWS points."""
     if not (step > 0):
         raise ConfigError(f"{what} step must be > 0")
     span = (hi - lo) / step
@@ -185,6 +188,8 @@ def _grid(lo: float, hi: float, step: float, what: str) -> List[float]:
     n = int(round(span)) + 1
     if n < 1:
         raise ConfigError(f"empty {what} grid")
+    if n > MAX_ROWS:
+        raise ConfigError(f"{what} grid has {n} points, more than {MAX_ROWS}")
     return [lo + i * step for i in range(n)]
 
 
@@ -244,8 +249,8 @@ def cmd_table1(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_throughput(args: argparse.Namespace, config: RunConfig) -> int:
     velocities = _grid(args.vmin, args.vmax, args.vstep, "velocity")
     d_values = args.delay if args.delay else [config.mobility.ho_delay]
-    if not all(v >= 0 for v in velocities + d_values):
-        raise ConfigError("velocities and HO delays must be >= 0")
+    if not all(0 <= v < math.inf for v in velocities + d_values):
+        raise ConfigError("velocities and HO delays must be finite and >= 0")
     # best connected, then skip and skip-comp with or without IC
     schemes = [s for s in ANALYTIC_VARIANTS
                if s.association is Association.BEST_CONNECTED or s.ic == args.ic]
@@ -268,7 +273,7 @@ def cmd_distance(args: argparse.Namespace, config: RunConfig) -> int:
     lam = config.network.lambda_bs
     draws = distances.sample_ordered_distances_array(
         lam, montecarlo._batch_rng(config.simulation.seed, 0),
-        min(config.simulation.trials, 100_000))
+        min(config.simulation.trials, MAX_ROWS))
     r1, r2, r3 = draws.T
     rows = np.column_stack([
         draws,

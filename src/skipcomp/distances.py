@@ -18,8 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from .model import OrderedDistances
-
 
 def _check_lambda(lam: float) -> None:
     if not (lam > 0):
@@ -102,9 +100,3 @@ def sample_ordered_distances_array(
     """`size` exact (r1, r2, r3) triples in km, shape (size, 3), from v."""
     _check_lambda(lam)
     return np.sqrt(sample_ordered_v(rng, size, 3) * (1.0 / (math.pi * lam)))
-
-
-def sample_ordered_distances(lam: float, rng: np.random.Generator) -> OrderedDistances:
-    """Draw a single exact (r1, r2, r3) triple."""
-    r1, r2, r3 = sample_ordered_distances_array(lam, rng, 1)[0]
-    return OrderedDistances(float(r1), float(r2), float(r3))

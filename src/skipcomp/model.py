@@ -134,22 +134,6 @@ VARIANTS = ANALYTIC_VARIANTS + tuple(
 
 
 @dataclass(frozen=True)
-class OrderedDistances:
-    """Distances (km) from the test user to its three nearest BSs."""
-
-    r1: float
-    r2: float
-    r3: float
-
-    def __post_init__(self):
-        if not (0 <= self.r1 <= self.r2 <= self.r3):
-            raise ValueError(
-                f"distances must satisfy 0 <= r1 <= r2 <= r3, got "
-                f"({self.r1}, {self.r2}, {self.r3})"
-            )
-
-
-@dataclass(frozen=True)
 class SinrThreshold:
     """SINR threshold as a linear power ratio."""
 

@@ -8,53 +8,50 @@ nu = sigma^2/(P*(pi*lambda)^(eta/2)) (``_gains``), which leaves every SINR
 as it is in km and watts: lambda enters only through nu and a configured
 raw window's K, so noise-free output is the same at every lambda.
 
-Two estimators share that generator; ``empirical_coverage`` picks one by
-variant, and ``coverage --mode mc`` and ``validate`` both go through it.
+Two estimators share that generator.
 
-* Conditional (every non-coherent variant): a trial draws only the K_COND = 20
-  nearest BSs and no fading.  Under Rayleigh fading the coverage given the
-  geometry is a product of Laplace transforms (Andrews, Baccelli and Ganti,
-  2011): prod 1/(1 + s*g_i) over the interferers among BSs 1..K_COND, times
-  exp(-s*nu), times exp(-v_K * agg_exponent(eta, s*g_K)), the PPP Laplace
-  functional of every BS beyond the K-th (Haenggi, 2012), with g_i =
-  v_i^(-eta/2) and s = T/S.  The serving gain S is g_1 (best), g_2 (skip)
-  or g_2 + g_3 (skip-comp: the non-coherent joint signal |h_2 + h_3|^2 is
-  exponential with that mean; Tanbourgi et al., 2014); the interferers are the
-  other BSs, less BS 1 under IC.  The estimate is the trial mean of these
-  probabilities and its CI half-width 1.96*sd/sqrt(n), the variance floored
-  at one trial as in ``binomial_ci``; it has no truncation bias at any eta > 2.
-* Raw (the spectral efficiency, and the coherent share below): a trial draws
-  the K nearest BSs and their fading, and the estimate is the share of trials
-  whose SINR exceeds T.  BSs beyond the K-th are ignored.  K is 500 by
-  default, or round(lambda*pi*R^2), the expected BS count of a disc of the
-  configured radius R = ``window_radius_km`` (``SimulationSpec.window_bs``).
-  BSs 2 and 3 get complex Gaussian gains, which the coherent and
-  non-coherent CoMP numerators need; every other BS gets an Exp(1) power.
-  ``SERVING`` names each variant's signal; its interference is a sum of
-  non-negative terms (BSs 1-3 that neither serve nor are cancelled, then the
-  tail beyond BS 3), never a difference, so a dominant nearest BS cannot
-  cancel the tail.  One realization yields the SINR of every variant.
-
-Coherent joint transmission has no product form.  Its estimate is the greater
-of the conditional non-coherent value (the same bits the non-coherent variant
-prints) and the raw coherent share, at each threshold, with the raw share's
-binomial CI.  Coherent covers every trial non-coherent covers, so the max
-drops only a raw share that reads below the non-coherent value.  Both parts
-are non-increasing, so coherent coverage never rises with the threshold, is
-never below non-coherent, and each value depends only on its own threshold.
+* Conditional (every printed coverage cell, ``empirical_coverage``): a trial
+  draws only the K_COND = 20 nearest BSs and no fading.  Under Rayleigh
+  fading the coverage given the geometry is a product of Laplace transforms
+  (Andrews, Baccelli and Ganti, 2011): L(s) = prod 1/(1 + s*g_i) over the
+  interferers among BSs 1..K_COND, times exp(-v_K * agg_exponent(eta, s*g_K)),
+  the PPP Laplace functional of every BS beyond the K-th (Haenggi, 2012), with
+  g_i = v_i^(-eta/2) and s = T/S; the coverage is exp(-s*nu)*L(s).  The
+  serving gain S is g_1 (best), g_2 (skip) or g_2 + g_3 (skip-comp: the
+  non-coherent joint signal |h_2 + h_3|^2 is exponential with that mean;
+  Tanbourgi et al., 2014); the interferers are the other BSs, less BS 1 under
+  IC.  The coherent joint signal (|h_2| + |h_3|)^2 is W*c(U) with W ~ Gamma(2)
+  and U ~ U(0, 1) independent, c(U) = (sqrt(g_2*U) + sqrt(g_3*(1-U)))^2, so a
+  coherent trial also draws U and takes S = c(U); as P(W > w) = (1 + w)e^-w,
+  its coverage is exp(-s*nu)*L(s) times 1 + s*nu + sum y_i/(1 + y_i)
+  + v_K*y_K*c'(y_K), y_i = s*g_i (``trial_coverage``).  The estimate is the
+  trial mean of these probabilities and its CI half-width 1.96*sd/sqrt(n), the
+  variance floored at one trial as in ``binomial_ci``; it has no truncation
+  bias at any eta > 2.  A coherent cell is the greater of the coherent and the
+  non-coherent mean on the same draws, with the coherent CI: coherent covers
+  whatever non-coherent covers, so the max drops only a coherent mean that
+  reads below the non-coherent one.
+* Raw (the spectral efficiency of ``table1``): a trial draws the K nearest BSs
+  and their fading, and the estimate is the share of trials whose SINR
+  exceeds T.  BSs beyond the K-th are ignored.  K is 500 by default, or
+  round(lambda*pi*R^2), the expected BS count of a disc of the configured
+  radius R = ``window_radius_km`` (``SimulationSpec.window_bs``).  BSs 2 and 3
+  get complex Gaussian gains, which the coherent and non-coherent CoMP
+  numerators need; every other BS gets an Exp(1) power.  ``SERVING`` names
+  each variant's signal; its interference is a sum of non-negative terms (BSs
+  1-3 that neither serve nor are cancelled, then the tail beyond BS 3), never
+  a difference, so a dominant nearest BS cannot cancel the tail.  One
+  realization yields the SINR of every variant.
 
 Randomness contract: trials are processed in fixed-size batches; batch b of a
 run with seed s (0 <= s < 2^63) uses an independent Philox counter-based
-stream keyed by (s, b).  Each stream is read from one of two counter blocks:
-block 0 starts at counter 0, block 1 at 2^128 (``Philox.jumped()``), so no
-two estimators share a word.  A raw batch reads block 0: in order, the (n, K) distance gaps,
-the n powers of BS 1, the (n, K-3) tail powers and the (n, 2) real then
-imaginary parts of the gains of BSs 2 and 3.  A conditional batch draws only
-the (n, K_COND) distance gaps, from block 0 for best, skip and skip+ic and
-from block 1 (``COOP_BLOCK``) for skip-comp and skip-comp+ic, which the
-coherent estimate's conditional part reuses.  Identical (seed, trials,
-batch_size, params) therefore reproduce results bit-exactly, the first k
-batches of a run equal a k-batch run, and batches are independent by
+stream keyed by (s, b), read from counter 0.  A raw batch reads, in order, the
+(n, K) distance gaps, the n powers of BS 1, the (n, K-3) tail powers and the
+(n, 2) real then imaginary parts of the gains of BSs 2 and 3.  A conditional
+batch reads the (n, K_COND) distance gaps, and a coherent one then the n
+shares U, so both coherent parts see the same geometry.  Identical (seed,
+trials, batch_size, params) therefore reproduce results bit-exactly, the
+first k batches of a run equal a k-batch run, and batches are independent by
 construction.  So batches may run concurrently, on up to one thread per
 usable CPU; their results are reduced in batch order, so the thread count
 changes no output.  A gain that overflows or turns subnormal, as at eta in
@@ -79,7 +76,6 @@ from .model import VARIANTS, Association, NetworkParams, SchemeSpec, db_to_linea
 from .numerics import agg_exponent
 
 K_COND = 20  # nearest BSs a conditional trial draws; the rest is the exact tail
-COOP_BLOCK = 1  # Philox counter block of the cooperative conditional draws
 TAIL_BLOCK = 2**15  # tail powers drawn per block: a 256 KB buffer, reused
 
 
@@ -123,18 +119,15 @@ class SimulationResult:
     params: NetworkParams
 
 
-def _batch_rng(seed: int, batch_index: int, block: int = 0) -> np.random.Generator:
-    """Batch ``batch_index``'s stream, from counter ``block`` * 2^128 on."""
-    return np.random.Generator(np.random.Philox(
-        key=[seed, batch_index], counter=[0, 0, block, 0]))
+def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+    """Batch ``batch_index``'s stream."""
+    return np.random.Generator(np.random.Philox(key=[seed, batch_index]))
 
 
-def _batches(spec: SimulationSpec,
-             block: int = 0) -> Iterator[Tuple[np.random.Generator, int]]:
+def _batches(spec: SimulationSpec) -> Iterator[Tuple[np.random.Generator, int]]:
     """(stream, trial count) of each batch of a run, in order."""
     for b, start in enumerate(range(0, spec.trials, spec.batch_size)):
-        yield (_batch_rng(spec.seed, b, block),
-               min(spec.batch_size, spec.trials - start))
+        yield _batch_rng(spec.seed, b), min(spec.batch_size, spec.trials - start)
 
 
 def _usable_cpus() -> int:
@@ -266,10 +259,13 @@ def binomial_ci(phat: float, n: int) -> float:
 
 
 def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
-                   thresholds: np.ndarray) -> np.ndarray:
+                   thresholds: np.ndarray,
+                   u: Optional[np.ndarray] = None) -> np.ndarray:
     """Each trial's coverage probability given v = pi*lambda*r^2 of its K
     nearest BSs (shape (n, K), ascending), at each linear threshold: shape
-    (len(thresholds), n).  Non-coherent variants only."""
+    (len(thresholds), n).  A coherent variant also takes each trial's
+    U = X/(X + Y) ~ U(0, 1), X and Y the Exp(1) fading powers of BSs 2 and 3
+    (``u``, shape (n,))."""
     serving_bs, near_bs = SERVING[scheme.association]
     far = max(*serving_bs, near_bs) + 1  # the first BS that always interferes
     n, k = v.shape
@@ -278,7 +274,10 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
     out = np.empty((len(thresholds), n))
     # A probability that underflows to 0 is exact.
     with np.errstate(over="ignore", under="ignore", invalid="raise"):
-        serving = sum(gain[:, i] for i in serving_bs)
+        if scheme.coherent:  # c(U); the signal is W*c(U), W ~ Gamma(2)
+            serving = (np.sqrt(gain[:, 1] * u) + np.sqrt(gain[:, 2] * (1.0 - u))) ** 2
+        else:
+            serving = sum(gain[:, i] for i in serving_bs)
         # Interference-to-signal gain ratios of the far BSs, one row per BS
         # so that the product over them runs along contiguous rows.
         ratio = np.divide(gain[:, far:].T, serving, out=np.empty((k - far, n)))
@@ -291,25 +290,33 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
             den = np.multiply.reduce(x, axis=0)
             if near is not None:  # the near BS is not cancelled
                 den *= 1.0 + t * near
-            out[i] = np.exp(-t * noise - mass
-                            * agg_exponent(params.eta, t * ratio[-1])) / den
+            tail = agg_exponent(params.eta, t * ratio[-1])
+            out[i] = np.exp(-t * noise - mass * tail) / den
+            if scheme.coherent:
+                # P(W > sJ) = E[(1 + sJ)e^(-sJ)], J = I + nu: the factor is
+                # 1 - s*dlnE[e^(-sJ)]/ds, y/(1 + y) = 1 - 1/x of each
+                # interferer and y*c'(y) = (2/eta)(c(y) + y/(1 + y)) of the
+                # tail, c = agg_exponent.  A zero probability stays 0.
+                x = np.reciprocal(x, out=x)
+                lead = 1.0 + t * noise + (k - far - x.sum(axis=0)) \
+                    + (2.0 / params.eta) * mass * (tail + 1.0 - x[-1])
+                if near is not None:
+                    lead += 1.0 - 1.0 / (1.0 + t * near)
+                np.multiply(out[i], lead, out=out[i], where=out[i] > 0.0)
     return out
-
-
-def _block(scheme: SchemeSpec) -> int:
-    return COOP_BLOCK if scheme.association is Association.SKIP_COOP else 0
 
 
 def conditional_batches(scheme: SchemeSpec, params: NetworkParams,
                         sim: SimulationSpec,
                         thresholds: np.ndarray) -> Iterator[np.ndarray]:
-    """``trial_coverage`` of each batch of the run, in order; the cooperative
-    variants draw from ``COOP_BLOCK``."""
+    """``trial_coverage`` of each batch of the run, in order; a coherent
+    batch draws each trial's U after its geometry."""
     def batch(rng: np.random.Generator, n: int) -> np.ndarray:
-        return trial_coverage(params, scheme, sample_ordered_v(rng, n, K_COND),
-                              thresholds)
+        v = sample_ordered_v(rng, n, K_COND)
+        return trial_coverage(params, scheme, v, thresholds,
+                              rng.random(n) if scheme.coherent else None)
 
-    return _map_batches(batch, _batches(sim, _block(scheme)))
+    return _map_batches(batch, _batches(sim))
 
 
 def _mean_and_ci(batches: Iterator[np.ndarray],
@@ -327,46 +334,24 @@ def _mean_and_ci(batches: Iterator[np.ndarray],
     return mean, 1.96 * np.sqrt(np.maximum(m2 / max(n - 1, 1), 1.0 / n) / n)
 
 
-def conditional_coverage(scheme: SchemeSpec, params: NetworkParams,
-                         sim: SimulationSpec,
-                         thresholds_db: Sequence[float]) -> CoverageCurve:
-    """Mean conditional coverage with 95% CI half-widths (``_mean_and_ci``)."""
+def empirical_coverage(scheme: SchemeSpec, params: NetworkParams,
+                       sim: SimulationSpec,
+                       thresholds_db: Sequence[float]) -> CoverageCurve:
+    """The MC coverage curve ``coverage --mode mc`` prints: the mean
+    conditional coverage with 95% CI half-widths (``_mean_and_ci``).  A
+    coherent value is the greater of it and the non-coherent mean on the same
+    geometry, which coherent joint transmission never covers less than."""
     t = np.array([db_to_linear(t_db) for t_db in thresholds_db])
     mean, ci = _mean_and_ci(conditional_batches(scheme, params, sim, t), sim.trials)
+    if scheme.coherent:
+        base = replace(scheme, coherent=False)
+        mean = np.maximum(mean, _mean_and_ci(
+            conditional_batches(base, params, sim, t), sim.trials)[0])
     return CoverageCurve(
         thresholds_db=tuple(thresholds_db), values=tuple(mean.tolist()),
         scheme=scheme, params=params, source=CurveSource.MONTE_CARLO,
         ci_halfwidths=tuple(ci.tolist()),
     )
-
-
-def coherent_coverage(scheme: SchemeSpec, params: NetworkParams,
-                      sim: SimulationSpec,
-                      thresholds_db: Sequence[float]) -> CoverageCurve:
-    """Coherent coverage: at each threshold the greater of the conditional
-    non-coherent coverage and the raw coherent share, with the raw share's
-    binomial CI half-width.
-
-    Coherent joint transmission covers every trial non-coherent covers, so
-    the max drops only a raw share that reads below the non-coherent value.
-    The conditional part is bit for bit what the non-coherent variant
-    prints, and both parts are non-increasing, so the curve never rises and
-    is never below non-coherent; each cell depends only on its own
-    threshold."""
-    cond = conditional_coverage(replace(scheme, coherent=False), params, sim,
-                                thresholds_db)
-    raw = coverage_from_result(simulate(params, sim), scheme, thresholds_db)
-    return replace(raw, values=tuple(map(max, cond.values, raw.values)))
-
-
-def empirical_coverage(scheme: SchemeSpec, params: NetworkParams,
-                       sim: SimulationSpec,
-                       thresholds_db: Sequence[float]) -> CoverageCurve:
-    """The MC coverage curve ``coverage --mode mc`` prints: conditional for
-    the non-coherent variants, max(conditional, raw) for the coherent ones."""
-    if scheme.coherent:
-        return coherent_coverage(scheme, params, sim, thresholds_db)
-    return conditional_coverage(scheme, params, sim, thresholds_db)
 
 
 def spectral_efficiency_from_result(result: SimulationResult,

@@ -24,8 +24,8 @@ def test_benchmark_smoke_run_is_correct(workload):
 @pytest.mark.parametrize("workload", ["paper-mc", "regime-mc"])
 def test_traced_benchmark_smoke_run_is_correct(workload):
     """The tracer finds every program name it wraps or reads.  Only paper-mc
-    runs raw simulations (table1 and the coherent pair); every regime-mc
-    coverage job is conditional and draws no K = 500 geometry."""
+    runs raw simulations (table1); every coverage job is conditional and
+    draws no K = 500 geometry."""
     result = _smoke(workload, trace=1)
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     assert metrics["montecarlo.self_s"] > 0

@@ -4,22 +4,28 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import skipcomp
 from skipcomp import checks, coverage, throughput
 from skipcomp.cli import (
     CONFIG_TABLE,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    MAX_ROWS,
+    ConfigError,
     _csv_rows,
+    _grid,
     build_config,
     load_config,
     main,
 )
-from skipcomp.montecarlo import binomial_ci
+from skipcomp.montecarlo import K_COND, binomial_ci
 
 
 NOISY_CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -90,8 +96,8 @@ def test_coverage_mc_mode_fills_ci(tmp_path, config_file):
 
 def test_raw_mc_ci_is_not_zero_width_when_no_trial_is_covered(tmp_path):
     """From 20 dB on, analytic skip-comp lies within the printed CI; the
-    coherent estimate's raw part, the raw coherent share, covers no trial
-    there, and its CI is still floored at one trial in 2,000."""
+    coherent per-trial probabilities there are all near 0, and the coherent
+    CI is still floored at one trial in 2,000."""
     argv = ["--trials", "2000", "--tmin-db", "20", "--tmax-db", "40",
             "--tstep-db", "10"]
     out = tmp_path / "cov.csv"
@@ -109,7 +115,7 @@ def test_raw_mc_ci_is_not_zero_width_when_no_trial_is_covered(tmp_path):
     _, header, rows = read_rows(out)
     coh = {name: [float(r[header.index(name)]) for r in rows]
            for name in ("mc", "mc_ci_halfwidth")}
-    assert coh["mc"] == base["mc"]  # a zero raw share
+    assert all(c >= b for c, b in zip(coh["mc"], base["mc"]))
     for ci in coh["mc_ci_halfwidth"]:
         assert ci == pytest.approx(binomial_ci(0.0, 2000), rel=1e-9)
         assert ci >= 1.96 / 2000
@@ -134,20 +140,39 @@ def test_coherent_mc_never_below_non_coherent(tmp_path, eta, ic):
         assert all(b <= a for a, b in zip(mc[True], mc[True][1:])), seed
 
 
+def conditional_gain_overflows(seed, eta, trials):
+    """Whether a gain v^(-eta/2) of the K_COND nearest BSs of some trial of a
+    one-batch conditional run overflows or turns subnormal."""
+    g = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    v = np.cumsum(g.standard_exponential((trials, K_COND)), axis=1)
+    with np.errstate(over="ignore", under="ignore"):
+        gain = v ** (-0.5 * eta)
+    return not np.all((gain >= np.finfo(float).tiny) & (gain < np.inf))
+
+
 @pytest.mark.parametrize("eta", ["150", "170"])
-def test_coherent_mc_prints_where_a_raw_sinr_overflows(tmp_path, eta):
-    """At eta 150-186 every gain is finite but a raw SINR can exceed the
-    float range; it is inf, covered at every threshold, so the coherent
-    estimate prints, never below non-coherent."""
-    mc = {}
-    for flags in ([], ["--coherent"]):
-        out = tmp_path / f"{bool(flags)}.csv"
-        assert run(["coverage", "--scheme", "skip-comp", *flags, "--mode", "mc",
-                    "--eta", eta, "--trials", "2000", "--tstep-db", "10",
-                    "--out", str(out)]) == EXIT_OK
-        _, header, rows = read_rows(out)
-        mc[bool(flags)] = [float(r[header.index("mc")]) for r in rows]
-    assert all(c >= b for c, b in zip(mc[True], mc[False]))
+def test_coherent_mc_prints_where_every_gain_is_finite(tmp_path, eta):
+    """At eta 150-186 a near BS's gain v^(-eta/2) may overflow, depending on
+    the draws.  Over eight seeds, skip-comp with and without --coherent
+    prints, coherent never below non-coherent, exactly where every drawn
+    gain is finite, and exits 3 where one is not."""
+    printed = 0
+    for seed in range(1, 9):
+        finite = not conditional_gain_overflows(seed, float(eta), 2000)
+        mc = {}
+        for flags in ([], ["--coherent"]):
+            out = tmp_path / f"{bool(flags)}.csv"
+            code = run(["coverage", "--scheme", "skip-comp", *flags, "--mode",
+                        "mc", "--eta", eta, "--trials", "2000", "--tstep-db",
+                        "10", "--seed", str(seed), "--out", str(out)])
+            assert code == (EXIT_OK if finite else EXIT_NUMERIC), seed
+            if finite:
+                _, header, rows = read_rows(out)
+                mc[bool(flags)] = [float(r[header.index("mc")]) for r in rows]
+        if finite:
+            printed += 1
+            assert all(c >= b for c, b in zip(mc[True], mc[False])), seed
+    assert printed >= 2
 
 
 def test_coherent_analytic_is_config_error(tmp_path, config_file, capsys):
@@ -210,6 +235,18 @@ def test_flag_overrides_config(config_file):
     assert cfg.network.eta == 3.5
     assert cfg.simulation.trials == 99
     assert cfg.network.lambda_bs == 70.0
+
+
+def test_package_version_is_the_only_version():
+    """pyproject.toml reads its version from ``skipcomp.__version__``, the
+    one the output headers print."""
+    setuptools = pytest.importorskip("setuptools.config.pyprojecttoml")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is still "beta"
+        project = setuptools.read_configuration(
+            os.path.join(root, "pyproject.toml"))["project"]
+    assert project["version"] == skipcomp.__version__
 
 
 def test_build_config_defaults():
@@ -323,6 +360,38 @@ def test_bad_grid_exits_2(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--mode", "analytic", "--tstep-db", "1e-9"],
+    ["throughput", "--vstep", "1e-9"],
+], ids=["thresholds", "velocities"])
+def test_grid_beyond_max_rows_exits_2_before_building_it(tmp_path, argv, capsys):
+    """3e10 or 2e11 grid points are refused by their count; the list is never
+    built, so the refusal allocates almost nothing."""
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        assert run(argv + ["--out", str(out)]) == EXIT_CONFIG
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert f"more than {MAX_ROWS}" in capsys.readouterr().err
+    assert not out.exists()
+    assert len(_grid(0.0, MAX_ROWS - 1.0, 1.0, "threshold")) == MAX_ROWS
+    with pytest.raises(ConfigError):
+        _grid(0.0, float(MAX_ROWS), 1.0, "threshold")
+
+
+@pytest.mark.parametrize("delay", ["inf", "nan"])
+def test_non_finite_delay_flag_exits_2(tmp_path, delay, capsys):
+    """0*inf would be nan, and min(1, nan) an HO cost of 1: refused instead,
+    as a non-finite ho_delay_s in a config file is."""
+    out = tmp_path / "x.csv"
+    assert run(["throughput", "--delay", delay, "--out", str(out)]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 #: Noise-free MC commands: the SINR does not depend on the BS intensity.
 MC_COMMANDS = {
     "coverage": ["coverage", "--scheme", "skip-comp", "--mode", "mc",
@@ -369,8 +438,9 @@ def test_mc_output_is_scale_free_from_lambda_1e_minus160_to_1e160(tmp_path, cmd)
 @pytest.mark.parametrize("argv", [
     MC_COMMANDS["table1"], MC_COMMANDS["coverage"] + ["--coherent"]])
 def test_raw_mc_prints_at_lambda_1e308(tmp_path, argv):
-    """The default raw window holds K = 500 BSs at any intensity, also
-    where sqrt(500/(pi*lambda)) underflows to 0."""
+    """The default raw window of table1 holds K = 500 BSs at any intensity,
+    also where sqrt(500/(pi*lambda)) underflows to 0; the conditional
+    coherent estimate does not depend on lambda either."""
     rows = {}
     for lam in ("70", "1e308"):
         out = tmp_path / f"{lam}.csv"
@@ -392,7 +462,8 @@ def test_window_with_unrepresentable_count_exits_2(tmp_path, capsys):
 def test_noisy_mc_prints_at_any_intensity(tmp_path):
     """nu = sigma^2/(P*(pi*lambda)^2) underflows to 0 at lambda = 1e200, where
     the output is the noise-free one, and overflows to inf at 1e-160, where
-    every trial's coverage is 0 and the CI the one-trial floor."""
+    every trial's coverage is 0 and the CI the one-trial floor, for the
+    coherent estimate too."""
     def mc_rows(*extra):
         out = tmp_path / "x.csv"
         assert run(["coverage", "--mode", "mc", "--tstep-db", "10", "--trials",
@@ -400,9 +471,12 @@ def test_noisy_mc_prints_at_any_intensity(tmp_path):
         return read_rows(out)[1:]  # all but the config header
 
     noisy = ["--config", NOISY_CONFIG]
-    assert mc_rows(*noisy, "--lambda", "1e200") == mc_rows("--lambda", "1e200")
-    cells = [row[3:5] for row in mc_rows(*noisy, "--lambda", "1e-160")[1]]
-    assert cells == [["0", "0.00098"]] * 4  # 1.96/2000
+    for scheme in ([], ["--scheme", "skip-comp", "--coherent"]):
+        assert mc_rows(*scheme, *noisy, "--lambda", "1e200") \
+            == mc_rows(*scheme, "--lambda", "1e200")
+        cells = [row[3:5] for row in mc_rows(*scheme, *noisy, "--lambda",
+                                             "1e-160")[1]]
+        assert cells == [["0", "0.00098"]] * 4  # 1.96/2000
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])

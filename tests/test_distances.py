@@ -11,7 +11,6 @@ from skipcomp.distances import (
     joint_pdf_r2_r3,
     marginal_pdf_r1,
     marginal_pdf_r2,
-    sample_ordered_distances,
     sample_ordered_distances_array,
 )
 
@@ -201,8 +200,3 @@ def test_sampler_scale_property():
     for col in range(3):
         p = stats.ks_2samp(scaled[:, col], b[:, col]).pvalue
         assert p > 0.01
-
-
-def test_single_sample_wrapper():
-    d = sample_ordered_distances(70.0, rng(7))
-    assert 0 < d.r1 <= d.r2 <= d.r3

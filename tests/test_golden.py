@@ -63,7 +63,7 @@ CASES = {
     "coverage_skip_ic_noisy_eta3.5_mc.csv": [
         "coverage", "--config", NOISY, "--scheme", "skip", "--ic", "--eta",
         "3.5", "--mode", "mc", "--trials", "2000", "--tstep-db", "5"],
-    # Coherent estimate: max(conditional skip-comp, raw coherent share).
+    # Coherent estimate: max(conditional coherent, conditional skip-comp).
     "coverage_skip-comp_coh_mc.csv": [
         "coverage", "--scheme", "skip-comp", "--coherent", "--mode", "mc",
         "--trials", "2000", "--tstep-db", "5"],

@@ -11,7 +11,6 @@ from skipcomp.model import (
     IcOnBestConnected,
     MobilityParams,
     NetworkParams,
-    OrderedDistances,
     OverheadParams,
     SchemeSpec,
     SinrThreshold,
@@ -80,14 +79,6 @@ def test_mobility_and_overhead_invariants():
         OverheadParams(u_conventional=1.0)
     with pytest.raises(ValueError):
         OverheadParams(u_skipping=-0.1)
-
-
-def test_ordered_distances_requires_ordering():
-    OrderedDistances(0.1, 0.2, 0.3)
-    with pytest.raises(ValueError):
-        OrderedDistances(0.3, 0.2, 0.1)
-    with pytest.raises(ValueError):
-        OrderedDistances(-0.1, 0.2, 0.3)
 
 
 def test_sinr_threshold_db_helpers():
