@@ -62,7 +62,6 @@ CONFIG_TABLE = (
     ("u_c_skipping", "overhead", "u_skipping", float, None),
     ("trials", "simulation", "trials", int, "--trials"),
     ("seed", "simulation", "seed", int, "--seed"),
-    ("window_radius_km", "simulation", "window_radius", float, None),
     ("batch_size", "simulation", "batch_size", int, None),
 )
 
@@ -92,17 +91,12 @@ def build_config(raw: Dict) -> RunConfig:
         for key, section, name, kind, _ in CONFIG_TABLE:
             if key not in raw:
                 continue
-            value = raw[key]
-            # None is accepted only where it is the default.
-            if value is not None or getattr(_SECTIONS[section], name) is not None:
-                value = kind(value)
-                if not math.isfinite(value):
-                    raise ConfigError(f"{key} must be finite, got {value}")
+            value = kind(raw[key])
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
             fields[section][name] = value
-        config = RunConfig(**{section: cls(**fields[section])
-                              for section, cls in _SECTIONS.items()})
-        config.simulation.window_bs(config.network.lambda_bs)  # window too small or large
-        return config
+        return RunConfig(**{section: cls(**fields[section])
+                            for section, cls in _SECTIONS.items()})
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -231,12 +225,11 @@ def cmd_coverage(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_table1(args: argparse.Namespace, config: RunConfig) -> int:
-    result = montecarlo.simulate(config.network, config.simulation)
     ses = {s: throughput.spectral_efficiency(s, config.network)
            for s in ANALYTIC_VARIANTS}
-    rows = [[s.scheme_id, "case", se,
-             *montecarlo.spectral_efficiency_from_result(result, s)]
-            for s, se in ses.items()]
+    mc = montecarlo.empirical_spectral_efficiencies(config.network,
+                                                    config.simulation)
+    rows = [[s.scheme_id, "case", se, *mc[s]] for s, se in ses.items()]
     se_best = ses[ANALYTIC_VARIANTS[0]]
     rows += [[s.scheme_id, "skipping_average",
               throughput.skipping_avg_se(se_best, ses[s]), None, None]

@@ -14,8 +14,6 @@ call returns a float.
 from __future__ import annotations
 
 import math
-from typing import Optional
-
 import numpy as np
 
 
@@ -85,12 +83,11 @@ def conditional_pdf_r1_given_r2(x, r2):
     return _density(2.0 * x / (r2 * r2), x <= r2)
 
 
-def sample_ordered_v(rng: np.random.Generator, size: int, k: int,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """v = pi*lambda*r^2 of the k nearest BSs, shape (size, k), ascending, into
-    ``out`` if given: each row is the cumulative sum of k iid Exp(1) gaps,
-    exact, with no count, window or sort, and the same at every intensity."""
-    v = rng.standard_exponential((size, k), out=out)
+def sample_ordered_v(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
+    """v = pi*lambda*r^2 of the k nearest BSs, shape (size, k), ascending: each
+    row is the cumulative sum of k iid Exp(1) gaps, exact, with no count,
+    window or sort, and the same at every intensity."""
+    v = rng.standard_exponential((size, k))
     return np.cumsum(v, axis=1, out=v)
 
 

@@ -5,8 +5,8 @@ lambda form a 1-D PPP of rate pi*lambda, so each trial draws v = pi*lambda*r^2
 of its nearest BSs exactly, already sorted, as cumulative sums of Exp(1) gaps
 (``distances.sample_ordered_v``).  A BS's gain is v^(-eta/2) and the noise
 nu = sigma^2/(P*(pi*lambda)^(eta/2)) (``_gains``), which leaves every SINR
-as it is in km and watts: lambda enters only through nu and a configured
-raw window's K, so noise-free output is the same at every lambda.
+as it is in km and watts: lambda enters only through nu, so noise-free output
+is the same at every lambda.
 
 Two estimators share that generator.
 
@@ -30,18 +30,18 @@ Two estimators share that generator.
   bias at any eta > 2.  A coherent cell is the greater of the coherent and the
   non-coherent mean on the same draws, with the coherent CI: coherent covers
   whatever non-coherent covers, so the max drops only a coherent mean that
-  reads below the non-coherent one.
-* Raw (the spectral efficiency of ``table1``): a trial draws the K nearest BSs
-  and their fading, and the estimate is the share of trials whose SINR
-  exceeds T.  BSs beyond the K-th are ignored.  K is 500 by default, or
-  round(lambda*pi*R^2), the expected BS count of a disc of the configured
-  radius R = ``window_radius_km`` (``SimulationSpec.window_bs``).  BSs 2 and 3
-  get complex Gaussian gains, which the coherent and non-coherent CoMP
-  numerators need; every other BS gets an Exp(1) power.  ``SERVING`` names
-  each variant's signal; its interference is a sum of non-negative terms (BSs
-  1-3 that neither serve nor are cancelled, then the tail beyond BS 3), never
-  a difference, so a dominant nearest BS cannot cancel the tail.  One
-  realization yields the SINR of every variant.
+  reads below the non-coherent one.  ``table1`` prints the trial mean of
+  int_0^inf P(SINR > t)/(1 + t) dt (``empirical_spectral_efficiencies``).
+* Raw (the tests' brute-force oracle, run by no CLI command; the benchmark's
+  tracer wraps ``simulate`` and the two ``*_from_result`` by name): a trial
+  draws the K_RAW = 500 nearest BSs and their fading, and the estimate is the
+  share of trials whose SINR exceeds T.  BSs beyond the K-th are ignored, a
+  bias without bound as eta -> 2.  BSs 2 and 3 get complex Gaussian gains,
+  which the coherent and non-coherent CoMP numerators need; every other BS
+  gets an Exp(1) power.  ``SERVING`` names each variant's signal; its
+  interference is a sum of non-negative terms (BSs 1-3 that neither serve nor
+  are cancelled, then the tail beyond BS 3), never a difference, so a dominant
+  nearest BS cannot cancel the tail.  One realization serves every variant.
 
 Randomness contract: trials are processed in fixed-size batches; batch b of a
 run with seed s (0 <= s < 2^63) uses an independent Philox counter-based
@@ -70,13 +70,16 @@ from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import throughput
 from .coverage import CoverageCurve, CurveSource
 from .distances import sample_ordered_v
-from .model import VARIANTS, Association, NetworkParams, SchemeSpec, db_to_linear
+from .model import (ANALYTIC_VARIANTS, VARIANTS, Association, NetworkParams,
+                    SchemeSpec, db_to_linear)
 from .numerics import agg_exponent
 
 K_COND = 20  # nearest BSs a conditional trial draws; the rest is the exact tail
-TAIL_BLOCK = 2**15  # tail powers drawn per block: a 256 KB buffer, reused
+K_RAW = 500  # nearest BSs a raw trial draws; the rest is ignored
+MC_SE_NODES = 24  # Gauss-Legendre nodes per half of a trial's SE integral
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,6 @@ class SimulationSpec:
     trials: int = 100_000
     seed: int = 12345
     batch_size: int = 2000
-    window_radius: Optional[float] = None  # None: the K = 500 nearest BSs
 
     def __post_init__(self):
         if self.trials < 1:
@@ -93,20 +95,6 @@ class SimulationSpec:
             raise ValueError(f"seed must be in [0, 2^63), got {self.seed}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.window_radius is not None and not (self.window_radius > 0):
-            raise ValueError(f"window_radius must be > 0, got {self.window_radius}")
-
-    def window_bs(self, lam: float) -> int:
-        """K, the BS count of the raw window: round(lam*pi*R^2) for a
-        configured radius R, else 500."""
-        if self.window_radius is None:
-            return 500
-        mean = lam * math.pi * self.window_radius ** 2
-        if not math.isfinite(mean):
-            raise ValueError(f"window too large: expected BS count {mean}")
-        if mean < 100.0:
-            raise ValueError(f"window too small: expected BS count {mean:.1f} < 100")
-        return round(mean)
 
 
 @dataclass(frozen=True)
@@ -114,7 +102,6 @@ class SimulationResult:
     """Per-variant SINR arrays from a shared set of realizations."""
 
     sinr: Dict[str, np.ndarray]
-    redraws: int  # always 0: the K-nearest generator never redraws
     spec: SimulationSpec
     params: NetworkParams
 
@@ -169,39 +156,28 @@ SERVING = {
 }
 
 
-def _gains(params: NetworkParams, v: np.ndarray,
-           out: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
-    """Gains v^(-eta/2) of the BSs at v = pi*lambda*r^2 (into ``out``, if
-    given), and the noise in the same unit, nu = sigma^2/(P*(pi*lambda)^(eta/2)),
-    formed in log space: 0 exactly without noise, inf (coverage 0) where it
-    overflows.  A gain that overflows or turns subnormal raises
-    FloatingPointError."""
+def _gains(params: NetworkParams, v: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Gains v^(-eta/2) of the BSs at v = pi*lambda*r^2, and the noise in the
+    same unit, nu = sigma^2/(P*(pi*lambda)^(eta/2)), formed in log space: 0
+    exactly without noise, inf (coverage 0) where it overflows.  A gain that
+    overflows or turns subnormal raises FloatingPointError."""
     with np.errstate(over="raise", under="raise", invalid="raise"):
-        gain = np.power(v, -0.5 * params.eta, out=out)
+        gain = np.power(v, -0.5 * params.eta)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):  # log 0
         nu = np.exp(np.log(params.noise_power) - np.log(params.tx_power)
                     - 0.5 * params.eta * np.log(math.pi * params.lambda_bs))
     return gain, float(nu)
 
 
-def _batch_sinrs(params: NetworkParams, k: int, n: int, rng: np.random.Generator,
-                 work: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:
-    """SINRs of all variants for n independent realizations of the K nearest BSs;
-    ``work``, if given, is the (n, K) array the batch overwrites.  A received
-    power that overflows raises FloatingPointError; an SINR that overflows is
-    inf, which is covered at every threshold."""
-    v = sample_ordered_v(rng, n, k, out=work)
-    gain, nu = _gains(params, v, out=v)  # the one (n, K) array of the batch
+def _batch_sinrs(params: NetworkParams, k: int, n: int,
+                 rng: np.random.Generator) -> Dict[str, np.ndarray]:
+    """SINRs of all variants for n independent realizations of the K nearest
+    BSs.  A received power that overflows raises FloatingPointError; an SINR
+    that overflows is inf, which is covered at every threshold."""
+    gain, nu = _gains(params, sample_ordered_v(rng, n, k))
     with np.errstate(over="raise"):
         t1 = gain[:, 0] * rng.standard_exponential(n)
-        # The (n, K-3) tail powers, drawn in row blocks: the stream is read in
-        # the same order as one (n, K-3) draw, so the values are the same.
-        rows = min(n, max(1, TAIL_BLOCK // (k - 3)))
-        buf, tail = np.empty((rows, k - 3)), np.empty(n)
-        for i in range(0, n, rows):
-            block = buf[:n - i]
-            rng.standard_exponential(out=block)
-            np.einsum("ij,ij->i", gain[i:i + rows, 3:], block, out=tail[i:i + rows])
+        tail = np.einsum("ij,ij->i", gain[:, 3:], rng.standard_exponential((n, k - 3)))
         h = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) \
             * np.sqrt(0.5 * gain[:, 1:3])  # received amplitudes of BSs 2 and 3
         rx = (t1, *(np.abs(h) ** 2).T)  # received powers of BSs 1-3
@@ -219,18 +195,12 @@ def _batch_sinrs(params: NetworkParams, k: int, n: int, rng: np.random.Generator
 
 
 def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
-    """Run the full simulation; one shared pass covers every scheme variant."""
-    k = spec.window_bs(params.lambda_bs)
-    # Each batch's (n, K) array is allocated on the calling thread: freed, it
-    # returns to that thread's heap, not to a worker's malloc arena, which
-    # glibc would keep resident.
-    batches = list(_map_batches(
-        lambda rng, n, work: _batch_sinrs(params, k, n, rng, work),
-        ((rng, n, np.empty((n, k))) for rng, n in _batches(spec))))
+    """Run the full raw simulation; one shared pass covers every scheme variant."""
+    batches = list(_map_batches(lambda rng, n: _batch_sinrs(params, K_RAW, n, rng),
+                                _batches(spec)))
     return SimulationResult(
         sinr={s.scheme_id: np.concatenate([sinr[s.scheme_id] for sinr in batches])
               for s in VARIANTS},
-        redraws=0,
         spec=spec,
         params=params,
     )
@@ -238,11 +208,8 @@ def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
 
 def coverage_from_result(result: SimulationResult, scheme: SchemeSpec,
                          thresholds_db: Sequence[float]) -> CoverageCurve:
-    """Empirical coverage curve with 95% CI half-widths.
-
-    The binomial variance is floored at one trial, 1/n, so a share of 0 or 1
-    (no trial or every trial covered) does not get a zero-width interval.
-    """
+    """Raw coverage curve with 95% CI half-widths (``binomial_ci``: the
+    variance floored at one trial, so a share of 0 or 1 gets a nonzero CI)."""
     sinr = result.sinr[scheme.scheme_id]
     values = [float((sinr > db_to_linear(t_db)).mean()) for t_db in thresholds_db]
     return CoverageCurve(
@@ -321,10 +288,10 @@ def conditional_batches(scheme: SchemeSpec, params: NetworkParams,
 
 def _mean_and_ci(batches: Iterator[np.ndarray],
                  n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Mean of the per-trial probabilities of ``batches`` (n trials in all) at
-    each threshold, and its 95% CI half-widths 1.96*sd/sqrt(n), the variance
-    floored at one trial as in ``binomial_ci``: each probability lies in
-    [0, 1], so a run of n trials cannot resolve a mean below ~1/n."""
+    """Per row (a threshold or, for spectral efficiencies, a variant), the mean
+    of the per-trial values of ``batches`` (n trials in all) and its 95% CI
+    half-width 1.96*sd/sqrt(n), the variance floored at one trial as in
+    ``binomial_ci``: n per-trial coverages cannot resolve a mean below ~1/n."""
     # Per batch: the sum of its probabilities, their squared deviations from
     # its mean and its trial count, merged exactly, so a run holds one batch.
     parts = [(p.sum(axis=1), p.var(axis=1) * p.shape[1], p.shape[1])
@@ -352,6 +319,36 @@ def empirical_coverage(scheme: SchemeSpec, params: NetworkParams,
         scheme=scheme, params=params, source=CurveSource.MONTE_CARLO,
         ci_halfwidths=tuple(ci.tolist()),
     )
+
+
+def empirical_spectral_efficiencies(params: NetworkParams, sim: SimulationSpec
+                                    ) -> Dict[SchemeSpec, Tuple[float, float]]:
+    """Each analytic variant's MC spectral efficiency and 95% CI, as ``table1``
+    prints them: the mean over the draws of ``conditional_batches`` of each
+    trial's int_0^inf P(SINR > t)/(1+t) dt (``throughput.se_integral`` of its
+    ``trial_coverage``, MC_SE_NODES nodes per half).  Skip and skip-comp take
+    their IC forms' coverage over 1 + t*g_1/S, uncancelled BS 1's factor."""
+    upper = throughput.se_upper(params.eta)
+    best, _, skip_ic, _, coop_ic = ANALYTIC_VARIANTS
+
+    def batch(rng: np.random.Generator, n: int) -> np.ndarray:
+        v = sample_ordered_v(rng, n, K_COND)
+        gain, _ = _gains(params, v)
+
+        # scheme's per-trial SEs; with its serving gain, first its non-IC form's
+        def per_trial(scheme: SchemeSpec, serving=None) -> np.ndarray:
+            def coverage(t: np.ndarray) -> np.ndarray:
+                p = trial_coverage(params, scheme, v, t.ravel()).T
+                if serving is not None:
+                    p = np.stack([p / (1.0 + np.outer(gain[:, 0] / serving, t)), p])
+                return p.reshape(*p.shape[:-1], *t.shape)
+            return throughput.se_integral(coverage, upper, MC_SE_NODES)
+
+        return np.vstack([per_trial(best), per_trial(skip_ic, gain[:, 1]),
+                          per_trial(coop_ic, gain[:, 1] + gain[:, 2])])
+
+    mean, ci = _mean_and_ci(_map_batches(batch, _batches(sim)), sim.trials)
+    return {s: (float(m), float(c)) for s, m, c in zip(ANALYTIC_VARIANTS, mean, ci)}
 
 
 def spectral_efficiency_from_result(result: SimulationResult,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .model import (
 from .numerics import QuadratureError, fixed_rule, gauss_legendre
 
 LN2 = math.log(2.0)
-#: Gauss-Legendre nodes on each half of the SE integral, ln t in [-40, 0] and
-#: [0, 80] at eta = 4; the upper half grows with eta, and the count with it.
+#: Gauss-Legendre nodes on each half of the analytic SE integral at eta = 4;
+#: its upper half of ln t grows with eta, and the count with it.
 T_NODES = 256
 
 
@@ -51,27 +51,37 @@ class ThroughputPoint:
         return self.throughput_nats / LN2
 
 
-def spectral_efficiency(scheme: SchemeSpec, params: NetworkParams) -> float:
-    """nats/s/Hz from the coverage integral: int_0^inf P(SINR > t)/(1+t) dt.
-
-    Taken over x = ln t in [-40, 0] and [0, 20*eta]: the integrand falls off
-    like e^x below and no slower than e^(-2x/eta) above, so both tails are
-    below e^-40.  cov.analytic_coverage rejects a coherent scheme.  Where
-    t = e^(20*eta) overflows (eta > 35.49) no node is built: QuadratureError.
-    """
-    upper = 20.0 * params.eta
+def se_upper(eta: float) -> float:
+    """20*eta, the upper end of ``se_integral``; QuadratureError where
+    t = e^(20*eta) overflows (eta > 35.49), before any node is built."""
+    upper = 20.0 * eta
     if not upper < math.log(sys.float_info.max):
-        raise QuadratureError(f"SE range t <= e^{upper:g} overflows at eta = {params.eta}")
+        raise QuadratureError(f"SE range t <= e^{upper:g} overflows at eta = {eta}")
+    return upper
+
+
+def se_integral(coverage: Callable, upper: float, nodes: int,
+                coarse: bool = False):
+    """int_0^inf coverage(t)/(1+t) dt over x = ln t in [-40, 0] and [0, upper],
+    ``nodes`` Gauss-Legendre nodes each (half if coarse): the integrand falls
+    off like e^x below and no slower than e^(-2x/eta) above, so at upper =
+    ``se_upper(eta)`` both tails are below e^-40.  ``coverage`` maps the
+    (2, nodes) t to values whose last axes are t's; the rest are the result's."""
+    def integrand(x):
+        t = np.exp(x)
+        return coverage(t) * t / (1.0 + t)
+    return gauss_legendre(integrand, np.array([-40.0, 0.0]),
+                          np.array([0.0, upper]), nodes, coarse).sum(axis=-1)
+
+
+def spectral_efficiency(scheme: SchemeSpec, params: NetworkParams) -> float:
+    """nats/s/Hz from the coverage integral: int_0^inf P(SINR > t)/(1+t) dt
+    (``se_integral``).  cov.analytic_coverage rejects a coherent scheme."""
+    upper = se_upper(params.eta)
     nodes = round(T_NODES * max(upper, 40.0) / 80.0)
-
-    def integral(coarse: bool):
-        def integrand(x):
-            t = np.exp(x)
-            return cov.analytic_coverage(scheme, params, t, coarse) * t / (1.0 + t)
-        return gauss_legendre(integrand, np.array([-40.0, 0.0]),
-                              np.array([0.0, upper]), nodes, coarse).sum()
-
-    return float(fixed_rule(integral))
+    return float(fixed_rule(lambda coarse: se_integral(
+        lambda t: cov.analytic_coverage(scheme, params, t, coarse),
+        upper, nodes, coarse)))
 
 
 def skipping_avg_se(se_best: float, se_blackout: float) -> float:

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from skipcomp.model import NetworkParams
-from skipcomp.montecarlo import SimulationSpec, simulate
+from skipcomp.montecarlo import SimulationSpec, empirical_spectral_efficiencies, simulate
 
 ACCEPT_SEED = 20240817
 
@@ -30,3 +30,11 @@ def mc_100k(big_mc):
         big_mc, sinr={k: v[:n] for k, v in big_mc.sinr.items()},
         spec=dataclasses.replace(big_mc.spec, trials=n),
     )
+
+
+@pytest.fixture(scope="session")
+def table1_mc(default_net, big_mc):
+    """The MC spectral efficiency and CI half-width ``table1`` prints for each
+    analytic variant, over big_mc's trials, seed and batch size."""
+    return {s.scheme_id: value for s, value in
+            empirical_spectral_efficiencies(default_net, big_mc.spec).items()}

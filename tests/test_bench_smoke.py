@@ -23,16 +23,13 @@ def test_benchmark_smoke_run_is_correct(workload):
 
 @pytest.mark.parametrize("workload", ["paper-mc", "regime-mc"])
 def test_traced_benchmark_smoke_run_is_correct(workload):
-    """The tracer finds every program name it wraps or reads.  Only paper-mc
-    runs raw simulations (table1); every coverage job is conditional and
-    draws no K = 500 geometry."""
+    """The tracer finds every program name it wraps or reads.  No job runs a
+    raw simulation: table1 and every coverage job are conditional and draw
+    no K = 500 geometry, yet their Monte Carlo time is traced."""
     result = _smoke(workload, trace=1)
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     assert metrics["montecarlo.self_s"] > 0
-    if workload == "paper-mc":
-        assert metrics["montecarlo.simulate.calls"] > 0
-    else:
-        assert metrics["montecarlo.simulate.calls"] == 0
+    assert metrics["montecarlo.simulate.calls"] == 0
 
 
 def _smoke(workload, trace):

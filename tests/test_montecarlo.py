@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from skipcomp.montecarlo import (
     conditional_batches,
     coverage_from_result,
     empirical_coverage,
+    empirical_spectral_efficiencies,
     simulate,
     spectral_efficiency_from_result,
     trial_coverage,
@@ -54,21 +54,19 @@ def test_ppp_nearest_distance_matches_rayleigh():
     assert stat < 0.015
 
 
-def test_simulation_spec_rejects_tiny_window():
-    spec = SimulationSpec(trials=10, window_radius=0.05)
-    with pytest.raises(ValueError):
-        spec.window_bs(70.0)
+def test_window_bs_is_500_by_default_at_any_intensity(monkeypatch):
+    """K does not go through a radius, so a raw trial draws the 500 nearest
+    BSs even where sqrt(500/(pi*lambda)) underflows to 0."""
+    drawn = []
 
+    def recorded(g, n, k):
+        drawn.append(k)
+        return sample_ordered_v(g, n, k)
 
-def test_window_bs_is_500_by_default_at_any_intensity():
-    """The default K does not go through a radius, so it is 500 even where
-    sqrt(500/(pi*lambda)) underflows to 0; a configured radius whose
-    expected count overflows is refused."""
+    monkeypatch.setattr(montecarlo, "sample_ordered_v", recorded)
     for lam in (1e-160, 70.0, 1e308):
-        assert SimulationSpec(trials=10).window_bs(lam) == 500
-    assert SimulationSpec(trials=10, window_radius=1.0).window_bs(70.0) == 220
-    with pytest.raises(ValueError, match="window too large"):
-        SimulationSpec(trials=10, window_radius=1.0).window_bs(1e308)
+        simulate(NetworkParams(lambda_bs=lam), SimulationSpec(trials=10))
+    assert drawn == [500] * 3
 
 
 # --------------------------------------------------------------------------
@@ -109,18 +107,6 @@ def test_threaded_batches_equal_serial_bit_for_bit(workers, monkeypatch):
     for key, sinr in serial_raw.sinr.items():
         assert np.array_equal(threaded_raw.sinr[key], sinr), key
     assert threaded_curves == serial_curves
-
-
-def test_batch_sinrs_hold_one_n_by_k_array():
-    n, k = 2000, 500
-    g = rng(1)
-    tracemalloc.start()
-    try:
-        montecarlo._batch_sinrs(NetworkParams(), k, n, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * n * k * 8
 
 
 def test_different_seeds_differ():
@@ -179,13 +165,62 @@ def test_coop_beats_nocoop_empirically(big_mc):
     assert a - b > 0
 
 
-def test_spectral_efficiencies_match_table(big_mc):
+def test_spectral_efficiencies_match_table(table1_mc):
+    """The estimator table1 prints, over big_mc's trials, seed and batches."""
     targets = {"best": 1.49, "skip": 0.21, "skip+ic": 0.66,
                "skip-comp": 0.31, "skip-comp+ic": 1.01}
     for scheme in ANALYTIC_VARIANTS:
-        se, ci = spectral_efficiency_from_result(big_mc, scheme)
+        se, ci = table1_mc[scheme.scheme_id]
         assert se == pytest.approx(targets[scheme.scheme_id], abs=0.02)
         assert ci < 0.02
+
+
+def test_mc_spectral_efficiency_agrees_with_raw_oracle(big_mc, table1_mc):
+    """At eta 4 the raw K = 500 window's truncation is negligible, so its mean
+    ln(1 + SINR) over simulated fading checks table1's estimator within 3
+    combined CIs."""
+    for scheme in ANALYTIC_VARIANTS:
+        se, ci = table1_mc[scheme.scheme_id]
+        raw, raw_ci = spectral_efficiency_from_result(big_mc, scheme)
+        assert abs(se - raw) <= 3.0 * math.hypot(ci, raw_ci), scheme.scheme_id
+
+
+@pytest.mark.parametrize("eta", [2.05, 2.5, 3.5, 4.0, 6.0])
+def test_mc_spectral_efficiency_resolved_on_its_nodes(eta, monkeypatch):
+    """On the same draws, MC_SE_NODES nodes per half of ln t agree with four
+    times as many to 4e-4 relative, under 0.1 of the CI at 1e5 trials."""
+    net = NetworkParams(lambda_bs=70.0, eta=eta)
+    sim = SimulationSpec(trials=2000, seed=19)
+    ses = empirical_spectral_efficiencies(net, sim)
+    monkeypatch.setattr(montecarlo, "MC_SE_NODES", 4 * montecarlo.MC_SE_NODES)
+    for scheme, (fine, _) in empirical_spectral_efficiencies(net, sim).items():
+        assert ses[scheme][0] == pytest.approx(fine, rel=4e-4), scheme.scheme_id
+
+
+def test_mc_spectral_efficiency_is_the_mean_of_per_trial_integrals(monkeypatch):
+    """table1's MC SE is the mean over the conditional draws of each trial's
+    int_0^inf P(SINR > t | geometry)/(1 + t) dt, with CI 1.96*sd/sqrt(n):
+    against the same integrals on 512 nodes per half of ln t, each variant's
+    from its own ``trial_coverage``.  No raw simulation runs."""
+    def no_raw_run(*args):
+        raise AssertionError("table1's estimator ran simulate")
+
+    monkeypatch.setattr(montecarlo, "simulate", no_raw_run)
+    net = NetworkParams(lambda_bs=70.0, eta=3.5, noise_power=1e3)
+    sim = SimulationSpec(trials=300, seed=23, batch_size=200)
+    x, w = np.polynomial.legendre.leggauss(512)
+    halves = [(-40.0, 0.0), (0.0, 20.0 * net.eta)]
+    t = np.exp(np.concatenate([lo + 0.5 * (hi - lo) * (x + 1.0)
+                               for lo, hi in halves]))
+    weights = np.concatenate([0.5 * (hi - lo) * w for lo, hi in halves]) \
+        * t / (1.0 + t)
+    for scheme, (se, ci) in empirical_spectral_efficiencies(net, sim).items():
+        values = np.concatenate([weights @ trial_coverage(
+            net, scheme, sample_ordered_v(rng(sim.seed, b), n, K_COND), t)
+            for b, n in enumerate((200, 100))])
+        assert se == pytest.approx(values.mean(), rel=1e-3), scheme.scheme_id
+        assert ci == pytest.approx(
+            1.96 * values.std(ddof=1) / math.sqrt(sim.trials), rel=0.05)
 
 
 def test_mc_curve_tracks_analytic_curve(big_mc):
@@ -205,7 +240,7 @@ def test_window_truncation_negligible():
     summed over BSs 2..K and over BSs 2..2K.
     """
     lam, eta = NET.lambda_bs, NET.eta
-    k = SimulationSpec().window_bs(lam)
+    k = montecarlo.K_RAW
     trials = 5000
     deltas = []
     for t_db in (-10.0, 0.0, 10.0):
@@ -265,15 +300,12 @@ def reference_sinrs(params, d2, p1, tail, h):
 def test_batch_sinrs_match_per_trial_reference(eta, noise):
     params = NetworkParams(lambda_bs=70.0, eta=eta, noise_power=noise)
     k, n, seed = 120, 300, 41
-    spec = SimulationSpec(trials=n, seed=seed, batch_size=n,
-                          window_radius=math.sqrt(k / (math.pi * params.lambda_bs)))
-    result = simulate(params, spec)
+    sinr = montecarlo._batch_sinrs(params, k, n, montecarlo._batch_rng(seed, 0))
     d2, p1, tail, h = replay_batch(params, seed, 0, n, k)
-    assert result.redraws == 0
     for i in range(n):
         want = reference_sinrs(params, d2[i], p1[i], tail[i], h[i])
         for key, value in want.items():
-            assert result.sinr[key][i] == pytest.approx(value, rel=1e-12), (key, i)
+            assert sinr[key][i] == pytest.approx(value, rel=1e-12), (key, i)
 
 
 def test_no_cancellation_when_nearest_bs_dominates():
@@ -281,7 +313,7 @@ def test_no_cancellation_when_nearest_bs_dominates():
     BS 3 to full precision: it is never formed as total - t1 - t2 - t3."""
     batches, n = 10, 2000
     result = simulate(NET, SimulationSpec(trials=batches * n, seed=7, batch_size=n))
-    k = SimulationSpec().window_bs(NET.lambda_bs)
+    k = montecarlo.K_RAW
     for b in range(batches):
         d2, p1, tail, h = replay_batch(NET, 7, b, n, k)
         gain = NET.tx_power * d2 ** (-NET.eta / 2)
