@@ -31,7 +31,8 @@ Two estimators share that generator.
   non-coherent mean on the same draws, with the coherent CI: coherent covers
   whatever non-coherent covers, so the max drops only a coherent mean that
   reads below the non-coherent one.  ``table1`` prints the trial mean of
-  int_0^inf P(SINR > t)/(1 + t) dt (``empirical_spectral_efficiencies``).
+  int_0^inf P(SINR > t)/(1 + t) dt (``empirical_spectral_efficiencies``),
+  with its sample CI: a spectral efficiency is not a probability.
 * Raw (the tests' brute-force oracle, run by no CLI command; the benchmark's
   tracer wraps ``simulate`` and the two ``*_from_result`` by name): a trial
   draws the K_RAW = 500 nearest BSs and their fading, and the estimate is the
@@ -75,7 +76,7 @@ from .coverage import CoverageCurve, CurveSource
 from .distances import sample_ordered_v
 from .model import (ANALYTIC_VARIANTS, VARIANTS, Association, NetworkParams,
                     SchemeSpec, db_to_linear)
-from .numerics import agg_exponent
+from .numerics import CHUNK_VALUES, agg_exponent
 
 K_COND = 20  # nearest BSs a conditional trial draws; the rest is the exact tail
 K_RAW = 500  # nearest BSs a raw trial draws; the rest is ignored
@@ -251,13 +252,17 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
         near = None if scheme.ic else gain[:, near_bs] / serving
         noise = nu / serving
         x = np.empty_like(ratio)
+        block = max(1, CHUNK_VALUES // n)  # thresholds per tail-kernel call
         for i, t in enumerate(thresholds):
+            if i % block == 0:  # the tail exponents of the next block at once
+                tails = agg_exponent(params.eta, np.multiply.outer(
+                    thresholds[i:i + block], ratio[-1]))
+            tail = tails[i % block]
             np.multiply(ratio, t, out=x)
             x += 1.0
             den = np.multiply.reduce(x, axis=0)
             if near is not None:  # the near BS is not cancelled
                 den *= 1.0 + t * near
-            tail = agg_exponent(params.eta, t * ratio[-1])
             out[i] = np.exp(-t * noise - mass * tail) / den
             if scheme.coherent:
                 # P(W > sJ) = E[(1 + sJ)e^(-sJ)], J = I + nu: the factor is
@@ -286,19 +291,24 @@ def conditional_batches(scheme: SchemeSpec, params: NetworkParams,
     return _map_batches(batch, _batches(sim))
 
 
-def _mean_and_ci(batches: Iterator[np.ndarray],
-                 n: int) -> Tuple[np.ndarray, np.ndarray]:
+def _mean_and_ci(batches: Iterator[np.ndarray], n: int,
+                 probabilities: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Per row (a threshold or, for spectral efficiencies, a variant), the mean
     of the per-trial values of ``batches`` (n trials in all) and its 95% CI
-    half-width 1.96*sd/sqrt(n), the variance floored at one trial as in
-    ``binomial_ci``: n per-trial coverages cannot resolve a mean below ~1/n."""
-    # Per batch: the sum of its probabilities, their squared deviations from
+    half-width 1.96*sd/sqrt(n).  For probabilities the variance is floored at
+    one trial as in ``binomial_ci``: n per-trial coverages cannot resolve a
+    mean below ~1/n.  Other values, as spectral efficiencies in nats, have no
+    such scale and take their sample variance."""
+    # Per batch: the sum of its values, their squared deviations from
     # its mean and its trial count, merged exactly, so a run holds one batch.
     parts = [(p.sum(axis=1), p.var(axis=1) * p.shape[1], p.shape[1])
              for p in batches]
     mean = sum(s for s, _, _ in parts) / n
     m2 = sum(dev + nb * (s / nb - mean) ** 2 for s, dev, nb in parts)
-    return mean, 1.96 * np.sqrt(np.maximum(m2 / max(n - 1, 1), 1.0 / n) / n)
+    var = m2 / max(n - 1, 1)
+    if probabilities:
+        var = np.maximum(var, 1.0 / n)
+    return mean, 1.96 * np.sqrt(var / n)
 
 
 def empirical_coverage(scheme: SchemeSpec, params: NetworkParams,
@@ -309,11 +319,13 @@ def empirical_coverage(scheme: SchemeSpec, params: NetworkParams,
     coherent value is the greater of it and the non-coherent mean on the same
     geometry, which coherent joint transmission never covers less than."""
     t = np.array([db_to_linear(t_db) for t_db in thresholds_db])
-    mean, ci = _mean_and_ci(conditional_batches(scheme, params, sim, t), sim.trials)
+    mean, ci = _mean_and_ci(conditional_batches(scheme, params, sim, t),
+                            sim.trials, probabilities=True)
     if scheme.coherent:
         base = replace(scheme, coherent=False)
         mean = np.maximum(mean, _mean_and_ci(
-            conditional_batches(base, params, sim, t), sim.trials)[0])
+            conditional_batches(base, params, sim, t), sim.trials,
+            probabilities=True)[0])
     return CoverageCurve(
         thresholds_db=tuple(thresholds_db), values=tuple(mean.tolist()),
         scheme=scheme, params=params, source=CurveSource.MONTE_CARLO,
@@ -347,7 +359,8 @@ def empirical_spectral_efficiencies(params: NetworkParams, sim: SimulationSpec
         return np.vstack([per_trial(best), per_trial(skip_ic, gain[:, 1]),
                           per_trial(coop_ic, gain[:, 1] + gain[:, 2])])
 
-    mean, ci = _mean_and_ci(_map_batches(batch, _batches(sim)), sim.trials)
+    mean, ci = _mean_and_ci(_map_batches(batch, _batches(sim)), sim.trials,
+                            probabilities=False)
     return {s: (float(m), float(c)) for s, m, c in zip(ANALYTIC_VARIANTS, mean, ci)}
 
 

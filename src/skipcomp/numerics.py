@@ -11,8 +11,15 @@ from two scale-free kernels, both numpy array expressions:
       transform of one BS uniform in the disc of radius r, at b = s*P*r^-eta
       (Gradshteyn and Ryzhik 3.194).
 
-Both have arctan closed forms at eta = 4; ``eta4_closed_form`` is the one
-place that decides when they apply.  The analytic integrals run on fixed
+Both hypergeometric functions are F(beta, x) = 2F1(1, beta; 1+beta; -x) =
+beta * int_0^1 t^(beta-1)/(1+xt) dt, at beta = 1 -+ 2/eta in (0, 2), and
+``hyp2f1_beta`` is the one numpy kernel of both: for x <= 1 the Pfaff series
+(DLMF 15.8.1) in x/(1+x), for x > 1 the 1/x connection formula (DLMF 15.8.2),
+its series in 1/(1+x) and its poles at integer beta cancelled in closed form;
+a fixed number of terms each, so every value depends on its own x alone.
+
+Both kernels have arctan closed forms at eta = 4; ``eta4_closed_form`` is the
+one place that decides when they apply.  The analytic integrals run on fixed
 Gauss-Legendre nodes (``gauss_legendre``) over whole arrays of thresholds,
 and ``fixed_rule`` checks each result against the same integral on half the
 nodes; ``integrate_1d`` is that pair for a single integral.
@@ -20,11 +27,11 @@ nodes; ``integrate_1d`` is that pair for a single integral.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
-from scipy import special
 
 
 class QuadratureError(RuntimeError):
@@ -39,13 +46,93 @@ def eta4_closed_form(eta: float) -> bool:
     return abs(eta - 4.0) < 1e-9
 
 
+PFAFF_MAX_X = 1.0  # hyp2f1_beta's branch edge, where x/(1+x) = 1/(1+x) = 1/2
+PFAFF_TERMS = 54  # terms up to the edge: truncation below 2^-54 relative
+CONNECTION_TERMS = 50  # terms beyond it: truncation below the rounding error
+
+
+@lru_cache(maxsize=256)
+def _series(c: float, terms: int) -> Tuple[float, ...]:
+    """k!/(1+c)_k for k = terms-1 down to 0, the Horner order."""
+    coef = [1.0]
+    for k in range(1, terms):
+        coef.append(coef[-1] * k / (k + c))
+    return tuple(reversed(coef))
+
+
+def _horner(coef: Tuple[float, ...], w: np.ndarray) -> np.ndarray:
+    total = np.full_like(w, coef[0])
+    for c in coef[1:]:
+        total *= w
+        total += c
+    return total
+
+
+def _pole_factors(d: float) -> Tuple[float, float]:
+    """g = pi*d/sin(pi*d) and (g - 1)/d, for |d| <= 1/2; y - sin(y), y = pi*d,
+    is summed as its series, which does not cancel."""
+    if d == 0.0:
+        return 1.0, 0.0
+    y = math.pi * d
+    # y^3/3! - y^5/5! + ... - y^21/21!; at |y| <= pi/2 the first term left
+    # out is below 2e-18 of the sum.
+    term, y_minus_sin = y, 0.0
+    for k in range(1, 11):
+        term *= -y * y / ((2 * k) * (2 * k + 1))
+        y_minus_sin -= term
+    sin = math.sin(y)
+    return y / sin, math.pi * y_minus_sin / (y * sin)
+
+
+def hyp2f1_beta(beta: float, x) -> np.ndarray:
+    """F(beta, x) = 2F1(1, beta; 1+beta; -x) for 0 < beta <= 2 and finite x >= 0
+    (an array), to ~1e-15 relative; each value depends on beta and its x alone.
+
+    x <= PFAFF_MAX_X: F = sum_k k!/(1+beta)_k w^k / (1+x), w = x/(1+x)
+    (Pfaff).  x > PFAFF_MAX_X, by the 1/x connection formula:
+    F = beta * (pi/sin(pi*beta) x^-beta - sum_n (-1)^n x^-(n+1)/(n+1-beta)).
+    With m the integer nearest beta and d = beta - m, the n = m-1 term's pole
+    at integer beta cancels the sine's: together they are (-1)^m x^-m times
+    core = (g*expm1(-d ln x) + g - 1)/d, g = pi*d/sin(pi*d), which holds
+    accuracy as beta -> 1 (eta -> inf) and beta -> 2 (eta -> 2).  The terms
+    from n = m on are (-1)^m x^-m * sum_k k!/(1+a)_k u^(k+1) / a, a = 1 - d,
+    u = 1/(1+x) (Pfaff again), all of one sign.
+    """
+    if not 0.0 < beta <= 2.0:
+        raise ValueError(f"beta must be in (0, 2], got {beta}")
+    x = np.asarray(x, dtype=float)
+    # The Pfaff series over every value, clipped to its branch, then the
+    # values beyond the edge replaced.
+    clipped = np.minimum(x, PFAFF_MAX_X)
+    r = 1.0 / (1.0 + clipped)
+    out = _horner(_series(beta, PFAFF_TERMS), clipped * r)
+    out *= r
+    far = x > PFAFF_MAX_X
+    xf = x[far]
+    m = math.floor(beta + 0.5)
+    d = beta - m
+    u = 1.0 / (1.0 + xf)
+    tail = _horner(_series(1.0 - d, CONNECTION_TERMS), u) * (u / (1.0 - d))
+    if m == 0:
+        core = math.pi / math.sin(math.pi * beta) * np.power(xf, -beta)
+    else:
+        g, g_minus_1 = _pole_factors(d)
+        lnx = np.log(xf)
+        core = g * (np.expm1(-d * lnx) / d if d else -lnx) + g_minus_1
+    value = (-1.0) ** m * beta * (core - tail) / xf ** m
+    if m == 2:  # the n = 0 term
+        value -= beta / ((1.0 - beta) * xf)
+    out[far] = value
+    return out[()]
+
+
 def hyp2f1_lt(eta: float, x):
     """2F1(1, 1-2/eta; 2-2/eta; -x) for eta > 2 and x >= 0 (an array)."""
     if not (eta > 2):
         raise ValueError(f"eta must be > 2, got {eta}")
     if np.any(np.asarray(x) < 0):
         raise ValueError(f"x must be >= 0, got {x}")
-    return special.hyp2f1(1.0, 1.0 - 2.0 / eta, 2.0 - 2.0 / eta, -x)
+    return hyp2f1_beta(1.0 - 2.0 / eta, x)
 
 
 def agg_exponent(eta: float, x, closed_form: bool = True):
@@ -83,8 +170,7 @@ def nearest_lt(eta: float, b, closed_form: bool = True):
                     series *= x
                 lt[far] = series
             return lt[()]
-        lt = 2.0 / (b * (eta + 2.0)) * special.hyp2f1(
-            1.0, 1.0 + 2.0 / eta, 2.0 + 2.0 / eta, -1.0 / b)
+        lt = 2.0 / (b * (eta + 2.0)) * hyp2f1_beta(1.0 + 2.0 / eta, 1.0 / b)
     return np.where(b == 0, 1.0, lt)[()]
 
 

@@ -316,6 +316,23 @@ def test_table1_mc_matches_analytic_near_eta_2(tmp_path, eta):
         assert abs(mc - se) <= 3.0 * ci, (r[0], se, mc, ci)
 
 
+def test_table1_se_ci_is_not_floored_at_eta_2_001(tmp_path):
+    """A spectral efficiency in nats is not a probability: its CI is the
+    sample one, not floored at one trial.  At eta 2.001 the floor, 1.96/n =
+    9.8e-5, was every non-best CI; the sample CIs are 1.2e-5 to 2.0e-5."""
+    out = tmp_path / "t1.csv"
+    trials = 20000
+    assert run(["table1", "--eta", "2.001", "--trials", str(trials),
+                "--out", str(out)]) == EXIT_OK
+    _, header, rows = read_rows(out)
+    cases = {r[0]: r for r in rows if r[1] == "case"}
+    for sid in ("skip", "skip+ic", "skip-comp", "skip-comp+ic"):
+        se, mc, ci = (float(cases[sid][header.index(c)])
+                      for c in ("se_analytic", "se_mc", "se_mc_ci"))
+        assert 0.0 < ci < 1.96 / trials, (sid, ci)
+        assert abs(mc - se) <= 3.0 * ci, (sid, se, mc, ci)
+
+
 def test_throughput_rows(tmp_path, config_file):
     out = tmp_path / "th.csv"
     code = run(["throughput", "--config", config_file, "--vmin", "0",
@@ -610,20 +627,28 @@ def test_unrepresentable_se_range_exits_3_at_once(tmp_path, argv, capsys):
     assert not out.exists()
 
 
-def test_analytic_and_mc_commands_do_not_load_scipy_integrate(tmp_path):
-    # No command integrates adaptively; importing scipy.integrate would cost
-    # about half of the start-up time of each.
+def test_cli_commands_do_not_load_scipy(tmp_path):
+    # scipy is only a test dependency: importing scipy.special alone would
+    # cost more start-up time than the rest of a CLI run's imports together.
     noisy = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                          "noisy_config.json")
     script = f"""
 import sys
 from skipcomp.cli import main
 out = {str(tmp_path / "x.csv")!r}
+try:
+    main(["--version"])
+except SystemExit as e:
+    assert e.code == 0, e.code
 for argv in (["coverage", "--mode", "analytic", "--eta", "3.5", "--config", {noisy!r}],
+             ["coverage", "--mode", "mc", "--eta", "3.5", "--trials", "2000"],
+             ["coverage", "--scheme", "skip-comp", "--coherent", "--mode", "mc",
+              "--eta", "3.5", "--trials", "2000"],
              ["table1", "--trials", "2000"], ["throughput"],
              ["validate", "--trials", "100"], ["distance", "--trials", "100"]):
     assert main(argv + ["--out", out]) == 0, argv
-assert "scipy.integrate" not in sys.modules, "scipy.integrate was imported"
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
@@ -632,6 +657,16 @@ assert "scipy.integrate" not in sys.modules, "scipy.integrate was imported"
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    # The module entry point, as -X importtime lists every module it imports.
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "skipcomp",
+                           "--version"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "skipcomp" in proc.stdout
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "skipcomp.cli" in imported
+    assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")]
 
 
 @pytest.mark.parametrize("argv", [

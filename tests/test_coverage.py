@@ -3,11 +3,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy import special
 
 from oracles import integrate_ordered_2d, quad
 from skipcomp import coverage as cov
-from skipcomp import throughput
+from skipcomp import numerics, throughput
 from skipcomp.coverage import (
     CoherentNotAnalytic,
     CoverageCurve,
@@ -145,7 +144,8 @@ def test_eta4_reduction_matches_general_form(t, ic):
 def test_general_form_evaluates_hyp2f1_at_eta4():
     # closed_form=False must reach the far-interference exponent too, or the
     # eta = 4 equivalence check compares the closed form with itself.
-    with mock.patch.object(special, "hyp2f1", wraps=special.hyp2f1) as h:
+    with mock.patch.object(numerics, "hyp2f1_beta",
+                           wraps=numerics.hyp2f1_beta) as h:
         coverage_blackout_coop(1.0, NetworkParams())
         assert h.call_count == 0
         coverage_blackout_coop(1.0, NetworkParams(), closed_form=False)
