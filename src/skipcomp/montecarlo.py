@@ -31,8 +31,10 @@ Two estimators share that generator.
   non-coherent mean on the same draws, with the coherent CI: coherent covers
   whatever non-coherent covers, so the max drops only a coherent mean that
   reads below the non-coherent one.  ``table1`` prints the trial mean of
-  int_0^inf P(SINR > t)/(1 + t) dt (``empirical_spectral_efficiencies``),
-  with its sample CI: a spectral efficiency is not a probability.
+  E[ln(1 + SINR)] = int_0^inf S/(1 + zS) L(z) dz, L the transform of the
+  interference plus noise (Hamdi, IEEE Trans. Commun. 58(2), 2010), with its
+  sample CI: a spectral efficiency is not a probability.  Past BS 2, L is
+  skip+ic's coverage at t = z*g_2 for all five variants.
 * Raw (the tests' brute-force oracle, run by no CLI command; the benchmark's
   tracer wraps ``simulate`` and the two ``*_from_result`` by name): a trial
   draws the K_RAW = 500 nearest BSs and their fading, and the estimate is the
@@ -76,7 +78,7 @@ from .coverage import CoverageCurve, CurveSource
 from .distances import sample_ordered_v
 from .model import (ANALYTIC_VARIANTS, VARIANTS, Association, NetworkParams,
                     SchemeSpec, db_to_linear)
-from .numerics import CHUNK_VALUES, agg_exponent
+from .numerics import CHUNK_VALUES, agg_exponent, gauss_legendre
 
 K_COND = 20  # nearest BSs a conditional trial draws; the rest is the exact tail
 K_RAW = 500  # nearest BSs a raw trial draws; the rest is ignored
@@ -230,10 +232,10 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
                    thresholds: np.ndarray,
                    u: Optional[np.ndarray] = None) -> np.ndarray:
     """Each trial's coverage probability given v = pi*lambda*r^2 of its K
-    nearest BSs (shape (n, K), ascending), at each linear threshold: shape
-    (len(thresholds), n).  A coherent variant also takes each trial's
-    U = X/(X + Y) ~ U(0, 1), X and Y the Exp(1) fading powers of BSs 2 and 3
-    (``u``, shape (n,))."""
+    nearest BSs (shape (n, K), ascending), at each linear threshold, shared
+    (shape (m,)) or a column per trial (m, n): shape (m, n).  A coherent variant
+    also takes each trial's U = X/(X + Y) ~ U(0, 1), X and Y the Exp(1) fading
+    powers of BSs 2 and 3 (``u``, shape (n,))."""
     serving_bs, near_bs = SERVING[scheme.association]
     far = max(*serving_bs, near_bs) + 1  # the first BS that always interferes
     n, k = v.shape
@@ -255,8 +257,8 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
         block = max(1, CHUNK_VALUES // n)  # thresholds per tail-kernel call
         for i, t in enumerate(thresholds):
             if i % block == 0:  # the tail exponents of the next block at once
-                tails = agg_exponent(params.eta, np.multiply.outer(
-                    thresholds[i:i + block], ratio[-1]))
+                tails = agg_exponent(params.eta, np.reshape(
+                    thresholds, (len(thresholds), -1))[i:i + block] * ratio[-1])
             tail = tails[i % block]
             np.multiply(ratio, t, out=x)
             x += 1.0
@@ -336,28 +338,29 @@ def empirical_coverage(scheme: SchemeSpec, params: NetworkParams,
 def empirical_spectral_efficiencies(params: NetworkParams, sim: SimulationSpec
                                     ) -> Dict[SchemeSpec, Tuple[float, float]]:
     """Each analytic variant's MC spectral efficiency and 95% CI, as ``table1``
-    prints them: the mean over the draws of ``conditional_batches`` of each
-    trial's int_0^inf P(SINR > t)/(1+t) dt (``throughput.se_integral`` of its
-    ``trial_coverage``, MC_SE_NODES nodes per half).  Skip and skip-comp take
-    their IC forms' coverage over 1 + t*g_1/S, uncancelled BS 1's factor."""
+    prints them, on the draws of ``conditional_batches``: skip+ic's coverage
+    over ln t in [ln(g_2/g_1) - 40, 0] and [0, se_upper(eta)], MC_SE_NODES
+    nodes each, times a factor per variant; with r_1 = 1/(1 + t*g_1/g_2) and
+    c = t(1 + g_3/g_2): best (1 - r_1)/(1 + t), skip+ic t/(1 + t), skip-comp+ic
+    c/(1 + c)*(1 + t*g_3/g_2), and skip and skip-comp their IC forms' * r_1."""
     upper = throughput.se_upper(params.eta)
-    best, _, skip_ic, _, coop_ic = ANALYTIC_VARIANTS
 
     def batch(rng: np.random.Generator, n: int) -> np.ndarray:
         v = sample_ordered_v(rng, n, K_COND)
         gain, _ = _gains(params, v)
+        lower = np.log(gain[:, 1]) - np.log(gain[:, 0])  # ln(g_2/g_1)
+        g32 = (gain[:, 2] / gain[:, 1])[:, None]
 
-        # scheme's per-trial SEs; with its serving gain, first its non-IC form's
-        def per_trial(scheme: SchemeSpec, serving=None) -> np.ndarray:
-            def coverage(t: np.ndarray) -> np.ndarray:
-                p = trial_coverage(params, scheme, v, t.ravel()).T
-                if serving is not None:
-                    p = np.stack([p / (1.0 + np.outer(gain[:, 0] / serving, t)), p])
-                return p.reshape(*p.shape[:-1], *t.shape)
-            return throughput.se_integral(coverage, upper, MC_SE_NODES)
-
-        return np.vstack([per_trial(best), per_trial(skip_ic, gain[:, 1]),
-                          per_trial(coop_ic, gain[:, 1] + gain[:, 2])])
+        def integrand(x: np.ndarray) -> np.ndarray:  # x = ln t, (n or 1, nodes)
+            with np.errstate(over="ignore"):  # t*g_1/g_2 or c inf: 1/(1 + inf) = 0
+                t = np.exp(x)
+                p = trial_coverage(params, ANALYTIC_VARIANTS[2], v, t.T).T
+                q = p / (1.0 + t)
+                r1 = 1.0 / (1.0 + np.exp(x - lower[:, None]))
+                coop = p * (1.0 - 1.0 / (1.0 + t * (1.0 + g32))) * (1.0 + t * g32)
+                return np.stack([q * (1.0 - r1), q * t * r1, q * t, coop * r1, coop])
+        return sum(gauss_legendre(integrand, lo, hi, MC_SE_NODES)
+                   for lo, hi in ((lower - 40.0, 0.0), (0.0, upper)))
 
     mean, ci = _mean_and_ci(_map_batches(batch, _batches(sim)), sim.trials,
                             probabilities=False)

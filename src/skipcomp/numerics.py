@@ -119,9 +119,9 @@ def hyp2f1_beta(beta: float, x) -> np.ndarray:
         g, g_minus_1 = _pole_factors(d)
         lnx = np.log(xf)
         core = g * (np.expm1(-d * lnx) / d if d else -lnx) + g_minus_1
-    value = (-1.0) ** m * beta * (core - tail) / xf ** m
-    if m == 2:  # the n = 0 term
-        value -= beta / ((1.0 - beta) * xf)
+    value = (-1.0) ** m * beta * (core - tail) / xf ** min(m, 1)
+    if m == 2:  # the n = 0 term; x^-2 in two steps, as x^2 may overflow
+        value = (value - beta / (1.0 - beta)) / xf
     out[far] = value
     return out[()]
 
@@ -143,7 +143,7 @@ def agg_exponent(eta: float, x, closed_form: bool = True):
     if closed_form and eta4_closed_form(eta):
         g = np.sqrt(x)
         return g * np.arctan(g)
-    return 2.0 * x / (eta - 2.0) * hyp2f1_lt(eta, x)
+    return x / (0.5 * (eta - 2.0)) * hyp2f1_lt(eta, x)  # 2x may overflow
 
 
 _ETA4_SERIES = [(-1.0) ** k / (2 * k + 3) for k in range(9)]  # 1/3, -1/5, ...
@@ -152,26 +152,30 @@ _ETA4_SERIES = [(-1.0) ** k / (2 * k + 3) for k in range(9)]  # 1/3, -1/5, ...
 def nearest_lt(eta: float, b, closed_form: bool = True):
     """2 * int_0^1 w / (1 + b*w^-eta) dw; 1 - sqrt(b)*arctan(1/sqrt(b)) at eta = 4.
 
-    Elsewhere, and at eta = 4 with closed_form=False, the 2F1 form; 1 at b = 0.
+    Elsewhere, and at eta = 4 with closed_form=False, the 2F1 form; where 1/b
+    overflows (b = 0 or subnormal), 1 - b^(2/eta)/sinc(2/eta) + O(b) instead.
     """
     b = np.asarray(b, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         if closed_form and eta4_closed_form(eta):
             sb = np.sqrt(b)
             lt = np.asarray(1.0 - sb * np.arctan(1.0 / sb))  # arctan(inf): b = 0 exact
             # The difference cancels, to 3e-16*b relative; above b = 100 take
             # its series x/3 - x^2/5 + x^3/7 - ..., x = 1/b, to 9 terms instead.
             far = b > 100.0
-            if np.any(far):
-                x = 1.0 / b[far]
-                series = _ETA4_SERIES[-1] * x
-                for c in _ETA4_SERIES[-2::-1]:  # Horner, in place
-                    series += c
-                    series *= x
-                lt[far] = series
+            x = 1.0 / b[far]
+            series = _ETA4_SERIES[-1] * x
+            for c in _ETA4_SERIES[-2::-1]:  # Horner, in place
+                series += c
+                series *= x
+            lt[far] = series
             return lt[()]
-        lt = 2.0 / (b * (eta + 2.0)) * hyp2f1_beta(1.0 + 2.0 / eta, 1.0 / b)
-    return np.where(b == 0, 1.0, lt)[()]
+        x = 1.0 / b
+    tiny = np.isinf(x)
+    lt = np.asarray(2.0 / (eta + 2.0) * x
+                    * hyp2f1_beta(1.0 + 2.0 / eta, np.where(tiny, 0.0, x)))
+    lt[tiny] = 1.0 - b[tiny] ** (2.0 / eta) / np.sinc(2.0 / eta)
+    return lt[()]
 
 
 CHUNK_VALUES = 1 << 16  # most values one gauss_legendre integrand call holds

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class ThroughputPoint:
 
 
 def se_upper(eta: float) -> float:
-    """20*eta, the upper end of ``se_integral``; QuadratureError where
+    """20*eta, the upper end of the SE integrals' ln t; QuadratureError where
     t = e^(20*eta) overflows (eta > 35.49), before any node is built."""
     upper = 20.0 * eta
     if not upper < math.log(sys.float_info.max):
@@ -60,28 +60,20 @@ def se_upper(eta: float) -> float:
     return upper
 
 
-def se_integral(coverage: Callable, upper: float, nodes: int,
-                coarse: bool = False):
-    """int_0^inf coverage(t)/(1+t) dt over x = ln t in [-40, 0] and [0, upper],
-    ``nodes`` Gauss-Legendre nodes each (half if coarse): the integrand falls
-    off like e^x below and no slower than e^(-2x/eta) above, so at upper =
-    ``se_upper(eta)`` both tails are below e^-40.  ``coverage`` maps the
-    (2, nodes) t to values whose last axes are t's; the rest are the result's."""
-    def integrand(x):
-        t = np.exp(x)
-        return coverage(t) * t / (1.0 + t)
-    return gauss_legendre(integrand, np.array([-40.0, 0.0]),
-                          np.array([0.0, upper]), nodes, coarse).sum(axis=-1)
-
-
 def spectral_efficiency(scheme: SchemeSpec, params: NetworkParams) -> float:
-    """nats/s/Hz from the coverage integral: int_0^inf P(SINR > t)/(1+t) dt
-    (``se_integral``).  cov.analytic_coverage rejects a coherent scheme."""
+    """nats/s/Hz, int_0^inf P(SINR > t)/(1+t) dt over x = ln t in [-40, 0] and
+    [0, ``se_upper(eta)``]: the integrand falls off like e^x below and no slower
+    than e^(-2x/eta) above, so both tails are below e^-40.
+    cov.analytic_coverage rejects a coherent scheme."""
     upper = se_upper(params.eta)
     nodes = round(T_NODES * max(upper, 40.0) / 80.0)
-    return float(fixed_rule(lambda coarse: se_integral(
-        lambda t: cov.analytic_coverage(scheme, params, t, coarse),
-        upper, nodes, coarse)))
+
+    def integrand(x, coarse: bool):
+        t = np.exp(x)
+        return cov.analytic_coverage(scheme, params, t, coarse) * t / (1.0 + t)
+    return float(fixed_rule(lambda coarse: gauss_legendre(
+        lambda x: integrand(x, coarse), np.array([-40.0, 0.0]),
+        np.array([0.0, upper]), nodes, coarse).sum()))
 
 
 def skipping_avg_se(se_best: float, se_blackout: float) -> float:

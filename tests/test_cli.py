@@ -299,11 +299,13 @@ def test_table1_rows(tmp_path, config_file):
     assert abs(avg - 1.25) < 0.03
 
 
-@pytest.mark.parametrize("eta", ["2.05", "2.5"])
+@pytest.mark.parametrize("eta", ["2.05", "2.5", "35.4"])
 def test_table1_mc_matches_analytic_near_eta_2(tmp_path, eta):
     """Every MC spectral efficiency lies within 3 of its printed CIs of the
     analytic one.  The raw K = 500 window printed 3.6-6.3x the analytic
-    values at eta 2.05, as it left out far interference."""
+    values at eta 2.05, as it left out far interference.  eta 35.4 is near
+    the top of table1's range, e^(20*eta) < the largest double, where every
+    SE node stays finite and no overflow warns."""
     out = tmp_path / "t1.csv"
     assert run(["table1", "--eta", eta, "--trials", "20000",
                 "--out", str(out)]) == EXIT_OK
@@ -331,6 +333,18 @@ def test_table1_se_ci_is_not_floored_at_eta_2_001(tmp_path):
                       for c in ("se_analytic", "se_mc", "se_mc_ci"))
         assert 0.0 < ci < 1.96 / trials, (sid, ci)
         assert abs(mc - se) <= 3.0 * ci, (sid, se, mc, ci)
+
+
+def test_analytic_coverage_at_subnormal_nearest_bs_argument(tmp_path):
+    """At -3090 dB the skipped BS's Laplace argument b is subnormal and 1/b
+    overflows; nearest_lt takes its small-b expansion there, and both cells
+    print coverage 1."""
+    out = tmp_path / "c.csv"
+    assert run(["coverage", "--scheme", "skip", "--mode", "analytic", "--eta",
+                "3.5", "--tmin-db", "-3090", "--tmax-db", "-3080",
+                "--tstep-db", "10", "--out", str(out)]) == EXIT_OK
+    _, header, rows = read_rows(out)
+    assert [r[header.index("analytic")] for r in rows] == ["1", "1"]
 
 
 def test_throughput_rows(tmp_path, config_file):

@@ -197,7 +197,10 @@ def test_mc_spectral_efficiency_resolved_on_its_nodes(eta, monkeypatch):
         assert ses[scheme][0] == pytest.approx(fine, rel=4e-4), scheme.scheme_id
 
 
-def test_mc_spectral_efficiency_is_the_mean_of_per_trial_integrals(monkeypatch):
+@pytest.mark.parametrize("eta,noise", [(3.5, 1e3), (2.1, 0.0), (2.1, 1e3),
+                                       (4.0, 0.0)])
+def test_mc_spectral_efficiency_is_the_mean_of_per_trial_integrals(
+        eta, noise, monkeypatch):
     """table1's MC SE is the mean over the conditional draws of each trial's
     int_0^inf P(SINR > t | geometry)/(1 + t) dt, with CI 1.96*sd/sqrt(n):
     against the same integrals on 512 nodes per half of ln t, each variant's
@@ -206,7 +209,7 @@ def test_mc_spectral_efficiency_is_the_mean_of_per_trial_integrals(monkeypatch):
         raise AssertionError("table1's estimator ran simulate")
 
     monkeypatch.setattr(montecarlo, "simulate", no_raw_run)
-    net = NetworkParams(lambda_bs=70.0, eta=3.5, noise_power=1e3)
+    net = NetworkParams(lambda_bs=70.0, eta=eta, noise_power=noise)
     sim = SimulationSpec(trials=300, seed=23, batch_size=200)
     x, w = np.polynomial.legendre.leggauss(512)
     halves = [(-40.0, 0.0), (0.0, 20.0 * net.eta)]

@@ -158,6 +158,41 @@ def test_nearest_lt_matches_mpmath(eta, b, expected):
     assert nearest_lt(eta, b) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("eta,x,expected", [
+    (35.48, 1.7e308, 238317951620673563.74),
+    (6.0, 1.7e308, 6.6985524161173884127e102),
+])
+def test_agg_exponent_at_huge_x_does_not_overflow(eta, x, expected):
+    # From mpmath at 40 digits.  2x overflows beyond x ~ 9e307, which the
+    # analytic SE's nodes reach above eta ~ 35.45; the value does not.
+    assert agg_exponent(eta, x) == pytest.approx(expected, rel=1e-12)
+
+
+#: nearest_lt(eta, b) in mpmath at 40 digits, from its 2F1 form, at the ends
+#: of the doubles: where 1/b overflows (b subnormal) and where b*(eta + 2)
+#: would (b near the largest double).  At eta = 1000 the value at b = 5e-324
+#: is far from 1: it is 1 - O(b^(2/eta)).
+NEAREST_LT_EXTREME_B = [
+    (2.5, 5e-324, 1.0),
+    (3.5, 1e-310, 1.0),
+    (35.0, 3e-308, 0.99999999999999999731),
+    (1000.0, 5e-324, 0.7743733335733629297),
+    (1000.0, 1e-310, 0.76011512972198558053),
+    (1000.0, 3e-308, 0.75736295954944374929),
+    (2.5, 1e300, 4.4444444444444442111e-301),
+    (3.5, 1.7e308, 2.1390374331550802909e-309),
+    (35.0, 1e308, 5.4054054054054053461e-310),
+]
+
+
+@pytest.mark.parametrize("eta,b,expected", NEAREST_LT_EXTREME_B)
+def test_nearest_lt_at_extreme_b(eta, b, expected):
+    # Without a RuntimeWarning, which pytest turns into an error; a
+    # subnormal value is held to a few of its ulps.
+    assert nearest_lt(eta, b) == pytest.approx(expected, rel=1e-14, abs=1e-322)
+    assert nearest_lt(eta, np.array([b, 1.0]))[0] == nearest_lt(eta, b)
+
+
 def test_nearest_lt_eta4_closed_form_does_not_cancel_at_large_b():
     # 1 - sqrt(b)*arctan(1/sqrt(b)) loses 3e-16*b relative; the 2F1 form
     # does not.  Largest deviation seen: 2.4e-14 relative, just below b = 100.
