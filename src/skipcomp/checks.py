@@ -7,7 +7,7 @@ tolerance; each tolerance is defined once, here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List
 
 from . import coverage as cov
@@ -23,6 +23,8 @@ BEST_CONNECTED_ANCHOR_TOL = 1e-12  # |agg_exponent's arctan form - the
 #                                    pi/2 - arctan(1/sqrt T) form|, T = 1, eta = 4
 ETA4_EQUIVALENCE_TOL = 1e-12       # |eta = 4 closed form - general form|; both
 #                                    are over 1000x the rounding they see
+ETA4_REFERENCE = math.nextafter(4.0, 5.0)  # one ulp above 4: the general form,
+#                                    which moves a coverage by ~1e-16 here
 MC_VS_ANALYTIC_TOL = 0.015         # largest |MC - analytic| coverage on a grid,
 MC_MIN_TRIALS = 20_000             # checked only from this many trials on
 
@@ -72,16 +74,18 @@ def best_connected_anchor(lam: float) -> Check:
                  BEST_CONNECTED_ANCHOR_TOL)
 
 
-def eta4_equivalence(params: NetworkParams, ic: bool = False) -> List[Check]:
-    """Cooperative coverage, eta = 4 closed form vs. general form; [] unless eta = 4."""
+def eta4_equivalence(params: NetworkParams) -> List[Check]:
+    """Cooperative coverage without and with IC, the eta = 4 closed form vs.
+    the general form at ETA4_REFERENCE; [] unless eta = 4."""
     if not eta4_closed_form(params.eta):
         return []
+    reference = replace(params, eta=ETA4_REFERENCE)
     return [
         Check(f"eta4_equivalence_T{t}" + ("_ic" if ic else ""), abs(
             cov.coverage_blackout_coop(t, params, ic=ic)
-            - cov.coverage_blackout_coop(t, params, ic=ic, closed_form=False)),
+            - cov.coverage_blackout_coop(t, reference, ic=ic)),
             ETA4_EQUIVALENCE_TOL)
-        for t in ETA4_THRESHOLDS
+        for ic in (False, True) for t in ETA4_THRESHOLDS
     ]
 
 

@@ -91,10 +91,14 @@ def build_config(raw: Dict) -> RunConfig:
         for key, section, name, kind, _ in CONFIG_TABLE:
             if key not in raw:
                 continue
-            value = kind(raw[key])
+            value = raw[key]  # a JSON number: no bool or string is coerced
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{key} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
-            fields[section][name] = value
+            if kind is int and value % 1:
+                raise ConfigError(f"{key} must be an integer, got {value}")
+            fields[section][name] = kind(value)
         return RunConfig(**{section: cls(**fields[section])
                             for section, cls in _SECTIONS.items()})
     except (ValueError, TypeError, OverflowError) as exc:

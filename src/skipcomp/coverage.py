@@ -2,9 +2,8 @@
 
 Every interference Laplace transform (LT) is one of the two scale-free kernels
 in ``numerics``: ``nearest_lt`` (L1) for the skipped nearest BS, uniform in the
-disc of the serving distance, and ``agg_exponent`` (c) for all BSs beyond it.
-Each takes its eta = 4 arctan closed form by default; ``closed_form=False``
-selects the general form everywhere (the reference of the eta = 4 check).
+disc of the serving distance, and ``agg_exponent`` (c) for all BSs beyond it;
+each takes its arctan closed form at eta = 4.
 
 With v = pi*lambda*r^2 for the k-th nearest serving BS, every coverage, noisy
 or not, is one radial integral, ``_radial`` (weight / (1+a)^k without noise):
@@ -24,7 +23,6 @@ nodes; the public functions check it with ``numerics.fixed_rule``.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -42,18 +40,10 @@ class CoherentNotAnalytic(ValueError):
     """The coherent-precoding benchmark has no analytic coverage expression."""
 
 
-class CurveSource(enum.Enum):
-    ANALYTIC = "analytic"
-    MONTE_CARLO = "mc"
-
-
 @dataclass(frozen=True)
 class CoverageCurve:
     thresholds_db: tuple
     values: tuple
-    scheme: SchemeSpec
-    params: NetworkParams
-    source: CurveSource
     ci_halfwidths: Optional[tuple] = field(default=None)
 
     def __post_init__(self):
@@ -68,8 +58,7 @@ class CoverageCurve:
 # Laplace transforms (blackout with cooperation, Lemma/Corollary forms)
 # ---------------------------------------------------------------------------
 
-def lt_i1_coop(s: float, r2: float, eta: float, p: float,
-               closed_form: bool = True) -> float:
+def lt_i1_coop(s: float, r2: float, eta: float, p: float) -> float:
     """Laplace transform of the skipped nearest-BS interference, given r2.
 
     Averages 1/(1 + s*P*r1^-eta) over the conditional density 2*r1/r2^2 on
@@ -79,11 +68,10 @@ def lt_i1_coop(s: float, r2: float, eta: float, p: float,
         raise ValueError(f"r2 must be > 0, got {r2}")
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    return nearest_lt(eta, s * p * r2 ** (-eta), closed_form)
+    return nearest_lt(eta, s * p * r2 ** (-eta))
 
 
-def lt_ir2_coop(s: float, r3: float, lam: float, eta: float, p: float,
-                closed_form: bool = True) -> float:
+def lt_ir2_coop(s: float, r3: float, lam: float, eta: float, p: float) -> float:
     """Laplace transform of the aggregate interference from BSs beyond r3."""
     if not (r3 > 0):
         raise ValueError(f"r3 must be > 0, got {r3}")
@@ -94,7 +82,7 @@ def lt_ir2_coop(s: float, r3: float, lam: float, eta: float, p: float,
     x = s * p * r3 ** (-eta)
     if x == 0:
         return 1.0  # also where r3 * r3 overflows
-    return math.exp(-math.pi * lam * r3 * r3 * agg_exponent(eta, x, closed_form))
+    return math.exp(-math.pi * lam * r3 * r3 * agg_exponent(eta, x))
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +117,7 @@ def _radial(k: int, a, b, eta: float, weight, coarse: bool):
         0.0, np.sqrt(top), W_NODES, coarse) * (1.0 / d) ** k
 
 
-def analytic_coverage(scheme: SchemeSpec, params: NetworkParams, t,
-                      coarse: bool, closed_form: bool = True):
+def analytic_coverage(scheme: SchemeSpec, params: NetworkParams, t, coarse: bool):
     """Coverage at an array of linear thresholds t >= 0, before the check of
     ``numerics.fixed_rule``, which sets coarse to halve every node count."""
     if scheme.coherent:
@@ -139,8 +126,8 @@ def analytic_coverage(scheme: SchemeSpec, params: NetworkParams, t,
     b = _noise_rate(t, params)
     if scheme.association is not Association.SKIP_COOP:
         k = 1 if scheme.association is Association.BEST_CONNECTED else 2
-        lt1 = 1.0 if k == 1 or scheme.ic else nearest_lt(eta, t, closed_form)
-        p = _radial(k, agg_exponent(eta, t, closed_form), b, eta, lt1, coarse)
+        lt1 = 1.0 if k == 1 or scheme.ic else nearest_lt(eta, t)
+        p = _radial(k, agg_exponent(eta, t), b, eta, lt1, coarse)
         return np.where(t == 0.0, 1.0, np.minimum(1.0, p))
     # Over x = ln u: the integrand rises like u^4 until interference or noise
     # take over, within 2 of x = ln(1 + T^(2/eta) + b)/-2, and falls like u^-2
@@ -151,8 +138,8 @@ def analytic_coverage(scheme: SchemeSpec, params: NetworkParams, t,
     def integrand(x):
         ue = np.exp(eta * x)
         q = 1.0 / (1.0 + ue)
-        a = agg_exponent(eta, tu * ue * q, closed_form)
-        l1 = 1.0 if scheme.ic else nearest_lt(eta, tu * q, closed_form)
+        a = agg_exponent(eta, tu * ue * q)
+        l1 = 1.0 if scheme.ic else nearest_lt(eta, tu * q)
         noise = bu * np.exp(2.0 * x) * q ** (2.0 / eta) if params.noise_power else 0.0
         return _radial(3, a, noise, eta, 4.0 * np.exp(4.0 * x) * l1, coarse)
 
@@ -162,10 +149,10 @@ def analytic_coverage(scheme: SchemeSpec, params: NetworkParams, t,
 
 
 def _checked(scheme: SchemeSpec, params: NetworkParams,
-             t: SinrThreshold | float, closed_form: bool = True) -> float:
+             t: SinrThreshold | float) -> float:
     t = _as_linear(t)
     return float(fixed_rule(lambda coarse: analytic_coverage(
-        scheme, params, t, coarse, closed_form)))
+        scheme, params, t, coarse)))
 
 
 def coverage_best(t: SinrThreshold | float, params: NetworkParams) -> float:
@@ -174,17 +161,16 @@ def coverage_best(t: SinrThreshold | float, params: NetworkParams) -> float:
 
 
 def coverage_blackout_nocoop(t: SinrThreshold | float, params: NetworkParams,
-                             ic: bool = False, closed_form: bool = True) -> float:
+                             ic: bool = False) -> float:
     """Coverage of a blackout user served by the second-nearest BS alone.
 
     With ic=True the skipped nearest BS is removed from the interference.
     """
-    return _checked(SchemeSpec(Association.SKIP_NO_COOP, ic), params, t,
-                    closed_form)
+    return _checked(SchemeSpec(Association.SKIP_NO_COOP, ic), params, t)
 
 
 def coverage_blackout_coop(t: SinrThreshold | float, params: NetworkParams,
-                           ic: bool = False, closed_form: bool = True) -> float:
+                           ic: bool = False) -> float:
     """Coverage of a blackout user jointly served by BSs 2 and 3.
 
     Non-coherent joint transmission: the conditional SINR is exponential with
@@ -194,7 +180,7 @@ def coverage_blackout_coop(t: SinrThreshold | float, params: NetworkParams,
     the LTs depend on u alone, leaving the radial integral over v inside a
     single integral over u in [0, 1].
     """
-    return _checked(SchemeSpec(Association.SKIP_COOP, ic), params, t, closed_form)
+    return _checked(SchemeSpec(Association.SKIP_COOP, ic), params, t)
 
 
 def coverage(scheme: SchemeSpec, params: NetworkParams,
@@ -208,10 +194,7 @@ def coverage_curve(scheme: SchemeSpec, params: NetworkParams,
     """Evaluate the analytic coverage over a dB threshold grid."""
     t = np.array([SinrThreshold.from_db(t_db).value for t_db in thresholds_db])
     values = fixed_rule(lambda coarse: analytic_coverage(scheme, params, t, coarse))
-    return CoverageCurve(
-        thresholds_db=tuple(thresholds_db), values=tuple(values.tolist()),
-        scheme=scheme, params=params, source=CurveSource.ANALYTIC,
-    )
+    return CoverageCurve(tuple(thresholds_db), tuple(values.tolist()))
 
 
 def best_connected_closed_form(t: float) -> float:

@@ -8,7 +8,7 @@ sorted, in units that do not depend on lambda; the Monte Carlo oracle draws
 them so, and the (r1, r2, r3) sampler scales them to km.
 
 The densities accept floats or numpy arrays (evaluated elementwise); a scalar
-call returns a float.
+call returns a numpy float.
 """
 
 from __future__ import annotations
@@ -24,22 +24,8 @@ def _check_lambda(lam: float) -> None:
 
 def _check_nonneg(*values) -> None:
     for v in values:
-        if (v < 0).any() if isinstance(v, np.ndarray) else v < 0:
+        if (np.asarray(v) < 0).any():
             raise ValueError(f"distances must be >= 0, got {np.min(v)}")
-
-
-# Scalars take the math module, arrays numpy: a density is written once and
-# costs a scalar caller (a quadrature integrand) no array overhead.
-
-def _exp(v):
-    return np.exp(v) if isinstance(v, np.ndarray) else math.exp(v)
-
-
-def _density(value, inside):
-    """value where inside holds and 0 elsewhere."""
-    if isinstance(inside, np.ndarray):
-        return np.where(inside, value, 0.0)
-    return float(value) if inside else 0.0
 
 
 def joint_pdf_r123(x, y, z, lam: float):
@@ -47,8 +33,8 @@ def joint_pdf_r123(x, y, z, lam: float):
     _check_lambda(lam)
     _check_nonneg(x, y, z)
     a = math.pi * lam
-    return _density((2.0 * a) ** 3 * x * y * z * _exp(-a * z * z),
-                    (x <= y) & (y <= z))
+    return np.where((x <= y) & (y <= z),
+                    (2.0 * a) ** 3 * x * y * z * np.exp(-a * z * z), 0.0)[()]
 
 
 def marginal_pdf_r1(r, lam: float):
@@ -56,7 +42,7 @@ def marginal_pdf_r1(r, lam: float):
     _check_lambda(lam)
     _check_nonneg(r)
     a = math.pi * lam
-    return 2.0 * a * r * _exp(-a * r * r)
+    return 2.0 * a * r * np.exp(-a * r * r)
 
 
 def marginal_pdf_r2(y, lam: float):
@@ -64,7 +50,7 @@ def marginal_pdf_r2(y, lam: float):
     _check_lambda(lam)
     _check_nonneg(y)
     a = math.pi * lam
-    return 2.0 * a ** 2 * y ** 3 * _exp(-a * y * y)
+    return 2.0 * a ** 2 * y ** 3 * np.exp(-a * y * y)
 
 
 def joint_pdf_r2_r3(y, z, lam: float):
@@ -72,15 +58,15 @@ def joint_pdf_r2_r3(y, z, lam: float):
     _check_lambda(lam)
     _check_nonneg(y, z)
     a = math.pi * lam
-    return _density(4.0 * a ** 3 * y ** 3 * z * _exp(-a * z * z), y <= z)
+    return np.where(y <= z, 4.0 * a ** 3 * y ** 3 * z * np.exp(-a * z * z), 0.0)[()]
 
 
 def conditional_pdf_r1_given_r2(x, r2):
     """Density of the nearest-BS distance given the second-nearest at r2."""
-    if not ((r2 > 0).all() if isinstance(r2, np.ndarray) else r2 > 0):
+    if not (np.asarray(r2) > 0).all():
         raise ValueError(f"r2 must be > 0, got {np.min(r2)}")
     _check_nonneg(x)
-    return _density(2.0 * x / (r2 * r2), x <= r2)
+    return np.where(x <= r2, 2.0 * x / (r2 * r2), 0.0)[()]
 
 
 def sample_ordered_v(rng: np.random.Generator, size: int, k: int) -> np.ndarray:

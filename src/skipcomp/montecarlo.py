@@ -74,7 +74,7 @@ from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from . import throughput
-from .coverage import CoverageCurve, CurveSource
+from .coverage import CoverageCurve
 from .distances import sample_ordered_v
 from .model import (ANALYTIC_VARIANTS, VARIANTS, Association, NetworkParams,
                     SchemeSpec, db_to_linear)
@@ -217,7 +217,6 @@ def coverage_from_result(result: SimulationResult, scheme: SchemeSpec,
     values = [float((sinr > db_to_linear(t_db)).mean()) for t_db in thresholds_db]
     return CoverageCurve(
         thresholds_db=tuple(thresholds_db), values=tuple(values),
-        scheme=scheme, params=result.params, source=CurveSource.MONTE_CARLO,
         ci_halfwidths=tuple(binomial_ci(p, len(sinr)) for p in values),
     )
 
@@ -330,7 +329,6 @@ def empirical_coverage(scheme: SchemeSpec, params: NetworkParams,
             probabilities=True)[0])
     return CoverageCurve(
         thresholds_db=tuple(thresholds_db), values=tuple(mean.tolist()),
-        scheme=scheme, params=params, source=CurveSource.MONTE_CARLO,
         ci_halfwidths=tuple(ci.tolist()),
     )
 

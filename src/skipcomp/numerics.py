@@ -19,7 +19,8 @@ its series in 1/(1+x) and its poles at integer beta cancelled in closed form;
 a fixed number of terms each, so every value depends on its own x alone.
 
 Both kernels have arctan closed forms at eta = 4; ``eta4_closed_form`` is the
-one place that decides when they apply.  The analytic integrals run on fixed
+one place that picks them, at eta == 4.0 exactly, so every other eta takes the
+2F1 forms, however near 4 it is.  The analytic integrals run on fixed
 Gauss-Legendre nodes (``gauss_legendre``) over whole arrays of thresholds,
 and ``fixed_rule`` checks each result against the same integral on half the
 nodes; ``integrate_1d`` is that pair for a single integral.
@@ -42,8 +43,8 @@ FIXED_RULE_REL_TOL = 1e-8  # most |all nodes - half the nodes| / |all nodes|
 
 
 def eta4_closed_form(eta: float) -> bool:
-    """Whether the kernels' eta = 4 arctan closed forms apply at this eta."""
-    return abs(eta - 4.0) < 1e-9
+    """Whether the kernels' arctan closed forms apply: at eta = 4 exactly."""
+    return eta == 4.0
 
 
 PFAFF_MAX_X = 1.0  # hyp2f1_beta's branch edge, where x/(1+x) = 1/(1+x) = 1/2
@@ -135,12 +136,9 @@ def hyp2f1_lt(eta: float, x):
     return hyp2f1_beta(1.0 - 2.0 / eta, x)
 
 
-def agg_exponent(eta: float, x, closed_form: bool = True):
-    """c(x) = 2x/(eta-2) * 2F1(1, 1-2/eta; 2-2/eta; -x); sqrt(x)*arctan(sqrt(x)) at eta = 4.
-
-    closed_form=False evaluates the general form at every eta.
-    """
-    if closed_form and eta4_closed_form(eta):
+def agg_exponent(eta: float, x):
+    """c(x) = 2x/(eta-2) * 2F1(1, 1-2/eta; 2-2/eta; -x); sqrt(x)*arctan(sqrt(x)) at eta = 4."""
+    if eta4_closed_form(eta):
         g = np.sqrt(x)
         return g * np.arctan(g)
     return x / (0.5 * (eta - 2.0)) * hyp2f1_lt(eta, x)  # 2x may overflow
@@ -149,15 +147,15 @@ def agg_exponent(eta: float, x, closed_form: bool = True):
 _ETA4_SERIES = [(-1.0) ** k / (2 * k + 3) for k in range(9)]  # 1/3, -1/5, ...
 
 
-def nearest_lt(eta: float, b, closed_form: bool = True):
+def nearest_lt(eta: float, b):
     """2 * int_0^1 w / (1 + b*w^-eta) dw; 1 - sqrt(b)*arctan(1/sqrt(b)) at eta = 4.
 
-    Elsewhere, and at eta = 4 with closed_form=False, the 2F1 form; where 1/b
-    overflows (b = 0 or subnormal), 1 - b^(2/eta)/sinc(2/eta) + O(b) instead.
+    Elsewhere the 2F1 form; where 1/b overflows (b = 0 or subnormal),
+    1 - b^(2/eta)/sinc(2/eta) + O(b) instead.
     """
     b = np.asarray(b, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
-        if closed_form and eta4_closed_form(eta):
+        if eta4_closed_form(eta):
             sb = np.sqrt(b)
             lt = np.asarray(1.0 - sb * np.arctan(1.0 / sb))  # arctan(inf): b = 0 exact
             # The difference cancels, to 3e-16*b relative; above b = 100 take

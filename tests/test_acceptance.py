@@ -82,7 +82,7 @@ def test_criterion_4_coverage_cross_validation(mc_100k):
 
 
 def test_criterion_5_eta4_closed_form_equivalence():
-    results = checks.eta4_equivalence(NET) + checks.eta4_equivalence(NET, ic=True)
+    results = checks.eta4_equivalence(NET)
     assert len(results) == 6
     worst = max(c.deviation for c in results)
     for t in checks.ETA4_THRESHOLDS:
@@ -90,10 +90,10 @@ def test_criterion_5_eta4_closed_form_equivalence():
         s = t / (r2 ** -4 + r3 ** -4)
         worst = max(worst, abs(
             cov.lt_i1_coop(s, r2, 4.0, 1.0)
-            - cov.lt_i1_coop(s, r2, 4.0, 1.0, closed_form=False)))
+            - cov.lt_i1_coop(s, r2, checks.ETA4_REFERENCE, 1.0)))
         worst = max(worst, abs(
             cov.lt_ir2_coop(s, r3, 70.0, 4.0, 1.0)
-            - cov.lt_ir2_coop(s, r3, 70.0, 4.0, 1.0, closed_form=False)))
+            - cov.lt_ir2_coop(s, r3, 70.0, checks.ETA4_REFERENCE, 1.0)))
     report("5 eta4-equivalence", worst <= checks.ETA4_EQUIVALENCE_TOL,
            f"max dev {worst:.2e}")
 

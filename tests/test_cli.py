@@ -282,6 +282,27 @@ def test_non_finite_config_value_exits_2(tmp_path, key):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("raw", [{"trials": 1000.7}, {"seed": True},
+                                 {"noise_power_w": True}, {"eta": "3.5"}],
+                         ids=["fractional-trials", "bool-seed", "bool-noise",
+                              "string-eta"])
+def test_wrong_json_type_config_value_exits_2(tmp_path, raw, capsys):
+    # Each was once coerced and run: 1,000 trials, seed 1, 1 W, eta 3.5.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code = run(["coverage", "--config", str(bad), "--mode", "mc",
+                "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    assert next(iter(raw)) in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_integral_float_config_value_resolves_to_int():
+    cfg = build_config(json.loads('{"batch_size": 2.5e3}'))
+    assert cfg.simulation.batch_size == 2500
+    assert type(cfg.simulation.batch_size) is int
+
+
 # --------------------------------------------------------------------------
 # other subcommands
 # --------------------------------------------------------------------------
@@ -563,7 +584,8 @@ def test_validate_prints_every_check(capsys):
     lines = capsys.readouterr().out.splitlines()
     names = [c.name for c in checks.pdf_normalization(70.0)]
     names += ["best_connected_anchor"]
-    names += [f"eta4_equivalence_T{t}" for t in checks.ETA4_THRESHOLDS]
+    names += [f"eta4_equivalence_T{t}{ic}" for ic in ("", "_ic")
+              for t in checks.ETA4_THRESHOLDS]
     assert [ln.split(":")[0] for ln in lines[1:]] == names
     assert all(ln.endswith(": pass") for ln in lines[1:])
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from oracles import integrate_ordered_2d, quad
 from skipcomp import coverage as cov
 from skipcomp import numerics, throughput
+from skipcomp.checks import ETA4_REFERENCE
 from skipcomp.coverage import (
     CoherentNotAnalytic,
     CoverageCurve,
-    CurveSource,
     best_connected_closed_form,
     coverage,
     coverage_best,
@@ -41,7 +42,7 @@ def test_lt_i1_coop_eta4_closed_form_matches_quadrature():
     t, r2, r3, p = 1.0, 0.1, 0.15, 1.0
     s = t / (p * (r2 ** -4 + r3 ** -4))
     closed = lt_i1_coop(s, r2, 4.0, p)
-    quad = lt_i1_coop(s, r2, 4.0, p, closed_form=False)
+    quad = lt_i1_coop(s, r2, ETA4_REFERENCE, p)
     assert closed == pytest.approx(quad, abs=1e-8)
 
 
@@ -53,14 +54,14 @@ def test_lt_i1_coop_monotone_in_s():
 
 def test_lt_ir2_coop_at_zero_and_eta4_equivalence():
     assert lt_ir2_coop(0.0, r3=0.08, lam=70.0, eta=4.0, p=1.0) == 1.0
-    for closed_form in (True, False):
+    for eta in (4.0, ETA4_REFERENCE):
         # r3 * r3 overflows here; the LT must not become inf * 0 = nan
-        assert lt_ir2_coop(0.0, 1e200, 70.0, 4.0, 1.0, closed_form) == 1.0
-        assert lt_ir2_coop(1.0, 1e200, 70.0, 3.5, 1.0, closed_form) == 1.0
+        assert lt_ir2_coop(0.0, 1e200, 70.0, eta, 1.0) == 1.0
+    assert lt_ir2_coop(1.0, 1e200, 70.0, 3.5, 1.0) == 1.0
     t, r2, r3, lam, p = 2.0, 0.05, 0.08, 70.0, 1.0
     s = t / (p * (r2 ** -4 + r3 ** -4))
     a = lt_ir2_coop(s, r3, lam, 4.0, p)
-    b = lt_ir2_coop(s, r3, lam, 4.0, p, closed_form=False)
+    b = lt_ir2_coop(s, r3, lam, ETA4_REFERENCE, p)
     assert a == pytest.approx(b, abs=1e-8)
 
 
@@ -137,33 +138,30 @@ def test_nocoop_no_ic_is_lowest_curve():
 def test_eta4_reduction_matches_general_form(t, ic):
     # Non-cooperative only: acceptance criterion 5 checks the cooperative case.
     c = coverage_blackout_nocoop(t, NET, ic=ic)
-    d = coverage_blackout_nocoop(t, NET, ic=ic, closed_form=False)
+    d = coverage_blackout_nocoop(t, replace(NET, eta=ETA4_REFERENCE), ic=ic)
     assert c == pytest.approx(d, abs=1e-6)
 
 
 def test_general_form_evaluates_hyp2f1_at_eta4():
-    # closed_form=False must reach the far-interference exponent too, or the
+    # ETA4_REFERENCE must reach the far-interference exponent too, or the
     # eta = 4 equivalence check compares the closed form with itself.
     with mock.patch.object(numerics, "hyp2f1_beta",
                            wraps=numerics.hyp2f1_beta) as h:
         coverage_blackout_coop(1.0, NetworkParams())
         assert h.call_count == 0
-        coverage_blackout_coop(1.0, NetworkParams(), closed_form=False)
+        coverage_blackout_coop(1.0, NetworkParams(eta=ETA4_REFERENCE))
         assert h.call_count >= 1
 
 
-def test_closed_form_flag_is_inert_away_from_eta4():
-    net = NetworkParams(eta=3.5)
-    for ic in (False, True):
-        assert coverage_blackout_nocoop(1.0, net, ic=ic, closed_form=True) \
-            == coverage_blackout_nocoop(1.0, net, ic=ic, closed_form=False)
-        assert coverage_blackout_coop(1.0, net, ic=ic, closed_form=True) \
-            == coverage_blackout_coop(1.0, net, ic=ic, closed_form=False)
-    s, r2, r3 = 1e-5, 0.05, 0.08
-    assert lt_i1_coop(s, r2, 3.5, 1.0, closed_form=True) \
-        == lt_i1_coop(s, r2, 3.5, 1.0, closed_form=False)
-    assert lt_ir2_coop(s, r3, 70.0, 3.5, 1.0, closed_form=True) \
-        == lt_ir2_coop(s, r3, 70.0, 3.5, 1.0, closed_form=False)
+@pytest.mark.parametrize("eta", [4.0 - 1e-10, 4.0 + 1e-10])
+def test_closed_form_is_taken_at_eta4_exactly(eta):
+    # An eta near 4 but not 4 takes the 2F1 forms; only 4.0 takes arctan.
+    with mock.patch.object(numerics, "hyp2f1_beta",
+                           wraps=numerics.hyp2f1_beta) as h:
+        coverage_blackout_coop(1.0, NetworkParams(eta=4.0))
+        assert h.call_count == 0
+        coverage_blackout_coop(1.0, NetworkParams(eta=eta))
+        assert h.call_count >= 1
 
 
 def test_general_eta_runs():
@@ -311,7 +309,6 @@ def test_curve_monotone_and_bounded():
     for scheme in (SchemeSpec(Association.BEST_CONNECTED),
                    SchemeSpec(Association.SKIP_COOP, ic=True)):
         curve = coverage_curve(scheme, NET, DB_GRID)
-        assert curve.source is CurveSource.ANALYTIC
         assert coverage_curve(scheme, NET, []).values == ()
         vals = curve.values
         assert all(0 <= v <= 1 for v in vals)
@@ -344,10 +341,6 @@ def test_skip_coop_ic_tracks_best_connected_at_low_thresholds():
 
 def test_curve_invariants_enforced():
     with pytest.raises(ValueError):
-        CoverageCurve(thresholds_db=(0.0,), values=(0.5, 0.4),
-                      scheme=SchemeSpec(Association.BEST_CONNECTED),
-                      params=NET, source=CurveSource.ANALYTIC)
+        CoverageCurve(thresholds_db=(0.0,), values=(0.5, 0.4))
     with pytest.raises(ValueError):
-        CoverageCurve(thresholds_db=(0.0,), values=(1.5,),
-                      scheme=SchemeSpec(Association.BEST_CONNECTED),
-                      params=NET, source=CurveSource.ANALYTIC)
+        CoverageCurve(thresholds_db=(0.0,), values=(1.5,))
