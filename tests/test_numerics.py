@@ -39,13 +39,14 @@ def best_connected_rho(eta, t):
         lambda w: 1.0 / (1.0 + w ** (eta / 2.0)), t ** (-2.0 / eta), np.inf)
 
 
+@pytest.mark.parametrize("vectorised", [True, False])
 @pytest.mark.parametrize("eta", [2.5, 3.0, 3.5, 4.0, ETA4_REFERENCE, 6.0])
-def test_agg_exponent_is_the_best_connected_sir_kernel(eta):
+def test_agg_exponent_is_the_best_connected_sir_kernel(eta, vectorised):
     # Largest deviation seen: 1.1e-10 relative, at eta = 2.5.
-    for t_db in range(-10, 21):
-        t = 10.0 ** (t_db / 10.0)
-        assert agg_exponent(eta, t) == pytest.approx(
-            best_connected_rho(eta, t), rel=1e-9)
+    ts = 10.0 ** (np.arange(-10, 21) / 10.0)
+    expected = [best_connected_rho(eta, t) for t in ts]
+    got = agg_exponent(eta, ts) if vectorised else [agg_exponent(eta, t) for t in ts]
+    assert list(got) == pytest.approx(expected, rel=1e-9)
 
 
 def test_hyp2f1_at_zero_is_one():
