@@ -16,7 +16,10 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, get_type_hints
+from functools import cache
+from itertools import chain, compress, cycle, groupby
+from types import NoneType
+from typing import Dict, List, Optional, Sequence, Union, get_type_hints
 
 import numpy as np
 
@@ -126,7 +129,8 @@ def load_config(path: Optional[str], overrides: Dict) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _write(path: Optional[str], fmt: str, config: RunConfig,
-           columns: Sequence[str], rows: List[List]) -> None:
+           columns: Sequence[str],
+           rows: Union[Sequence[Sequence], np.ndarray]) -> None:
     if fmt == "csv":
         # No cell holds a comma, quote or newline, so a join is valid CSV.
         lines = [f"# skipcomp {__version__}",
@@ -140,7 +144,7 @@ def _write(path: Optional[str], fmt: str, config: RunConfig,
                 "version": __version__,
                 "config": config.as_dict(),
                 "columns": list(columns),
-                "rows": rows,
+                "rows": rows.tolist() if isinstance(rows, np.ndarray) else rows,
             },
             sort_keys=True, indent=2,
         ) + "\n"
@@ -154,24 +158,30 @@ def _write(path: Optional[str], fmt: str, config: RunConfig,
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def _csv_rows(rows: List[List]) -> List[str]:
+def _csv_rows(rows: Union[Sequence[Sequence], np.ndarray]) -> List[str]:
     """Each row as one CSV line: a float cell in ``.10g``, None as an empty
     cell, anything else as ``str()`` gives it.
 
-    One ``%`` operation formats a row; its format is built once per sequence
-    of cell types, which is the same for every row of most tables.
+    One ``%`` operation formats each run of consecutive rows that share a
+    sequence of cell types, over the run's cells flattened; a 2-D float array
+    is one all-float run.
     """
-    formats = {}
+    if isinstance(rows, np.ndarray):
+        runs = [((float,) * rows.shape[1], len(rows), rows.ravel().tolist())]
+    else:
+        runs = []
+        for types, run in groupby(rows, lambda row: tuple(map(type, row))):
+            run = list(run)
+            runs.append((types, len(run), chain.from_iterable(run)))
     lines = []
-    for row in rows:
-        types = tuple(map(type, row))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = ",".join(
-                "" if t is type(None) else "%.10g" if issubclass(t, float)
-                else "%s" for t in types)
-        lines.append(fmt % (tuple(v for v in row if v is not None)
-                            if type(None) in types else tuple(row)))
+    for types, n, cells in runs:
+        if not n:
+            continue
+        fmt = ",".join("" if t is NoneType else "%.10g" if issubclass(t, float)
+                       else "%s" for t in types)
+        if NoneType in types:
+            cells = compress(cells, cycle([t is not NoneType for t in types]))
+        lines += ("\n".join([fmt] * n) % tuple(cells)).split("\n")
     return lines
 
 
@@ -279,7 +289,7 @@ def cmd_distance(args: argparse.Namespace, config: RunConfig) -> int:
         distances.marginal_pdf_r2(r2, lam),
         distances.joint_pdf_r2_r3(r2, r3, lam),
         distances.conditional_pdf_r1_given_r2(r1, r2),
-    ]).tolist()
+    ])
     _write(args.out, args.format, config,
            ["r1_km", "r2_km", "r3_km", "joint_pdf_r1_r2_r3", "marginal_pdf_r1",
             "marginal_pdf_r2", "joint_pdf_r2_r3", "conditional_pdf_r1_given_r2"],
@@ -306,7 +316,11 @@ def cmd_validate(args: argparse.Namespace, config: RunConfig) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call
+    of ``main`` in the process.  It holds no subcommand function: ``main``
+    looks ``cmd_<command>`` up when it runs, so a patched one takes effect."""
     parser = argparse.ArgumentParser(
         prog="skipcomp",
         description="Coverage and mobility-aware throughput for PPP downlinks "
@@ -334,11 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin-db", type=float, default=-10.0)
     p.add_argument("--tmax-db", type=float, default=20.0)
     p.add_argument("--tstep-db", type=float, default=1.0)
-    p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("table1", help="spectral efficiencies for all cases")
     common(p)
-    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("throughput", help="average throughput vs velocity")
     common(p)
@@ -348,15 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vmax", type=float, default=200.0)
     p.add_argument("--vstep", type=float, default=10.0)
     p.add_argument("--delay", type=float, action="append")
-    p.set_defaults(func=cmd_throughput)
 
     p = sub.add_parser("validate", help="run the invariant check suite")
     common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("distance", help="dump ordered-distance PDF samples")
     common(p)
-    p.set_defaults(func=cmd_distance)
 
     return parser
 
@@ -367,7 +376,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                  if flag}
     try:
         config = load_config(args.config, overrides)
-        return args.func(args, config)
+        return globals()[f"cmd_{args.command}"](args, config)
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

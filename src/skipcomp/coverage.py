@@ -66,7 +66,7 @@ def lt_i1_coop(s: float, r2: float, eta: float, p: float) -> float:
     """
     if not (r2 > 0):
         raise ValueError(f"r2 must be > 0, got {r2}")
-    if s < 0:
+    if not (s >= 0):
         raise ValueError(f"s must be >= 0, got {s}")
     return nearest_lt(eta, s * p * r2 ** (-eta))
 
@@ -77,7 +77,7 @@ def lt_ir2_coop(s: float, r3: float, lam: float, eta: float, p: float) -> float:
         raise ValueError(f"r3 must be > 0, got {r3}")
     if not (eta > 2):
         raise ValueError(f"eta must be > 2, got {eta}")
-    if s < 0:
+    if not (s >= 0):
         raise ValueError(f"s must be >= 0, got {s}")
     x = s * p * r3 ** (-eta)
     if x == 0:
@@ -206,6 +206,6 @@ def best_connected_closed_form(t: float) -> float:
 def _as_linear(t: SinrThreshold | float) -> float:
     if isinstance(t, SinrThreshold):
         return t.value
-    if t < 0:
+    if not (t >= 0):
         raise ValueError(f"threshold must be >= 0, got {t}")
     return float(t)

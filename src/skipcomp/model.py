@@ -68,9 +68,9 @@ class MobilityParams:
     ho_delay: float = 0.7
 
     def __post_init__(self):
-        if self.velocity < 0:
+        if not (self.velocity >= 0):
             raise ValueError(f"velocity must be >= 0, got {self.velocity}")
-        if self.ho_delay < 0:
+        if not (self.ho_delay >= 0):
             raise ValueError(f"ho_delay must be >= 0, got {self.ho_delay}")
 
 

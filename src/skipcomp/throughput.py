@@ -78,7 +78,7 @@ def spectral_efficiency(scheme: SchemeSpec, params: NetworkParams) -> float:
 
 def skipping_avg_se(se_best: float, se_blackout: float) -> float:
     """Phase-averaged spectral efficiency of a skipping user (50/50 split)."""
-    if se_best < 0 or se_blackout < 0:
+    if not (se_best >= 0) or not (se_blackout >= 0):
         raise ValueError("spectral efficiencies must be >= 0")
     return 0.5 * (se_best + se_blackout)
 
@@ -96,7 +96,7 @@ def scheme_spectral_efficiencies(schemes: Sequence[SchemeSpec],
 
 def ho_rate(velocity_kmh: float, lam: float) -> float:
     """Cell-boundary crossing rate (HO/s) for a user at the given velocity."""
-    if velocity_kmh < 0:
+    if not (velocity_kmh >= 0):
         raise ValueError(f"velocity must be >= 0, got {velocity_kmh}")
     return 4.0 * (velocity_kmh * KMH_TO_KMS) * math.sqrt(lam) / math.pi
 
@@ -106,7 +106,7 @@ def ho_cost(scheme: SchemeSpec, rate: float, delay: float) -> float:
 
     Skipping schemes execute every other handover, so they pay half the rate.
     """
-    if rate < 0 or delay < 0:
+    if not (rate >= 0) or not (delay >= 0):
         raise ValueError("rate and delay must be >= 0")
     if scheme.association is not Association.BEST_CONNECTED:
         rate = rate / 2.0

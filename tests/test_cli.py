@@ -21,7 +21,9 @@ from skipcomp.cli import (
     ConfigError,
     _csv_rows,
     _grid,
+    _write,
     build_config,
+    build_parser,
     load_config,
     main,
 )
@@ -402,6 +404,45 @@ def test_csv_rows_match_per_cell_formatting():
     assert _csv_rows(rows) == [per_cell_csv_row(r) for r in rows]
 
 
+def test_csv_rows_match_per_cell_formatting_over_alternating_runs():
+    """Each run of rows with one cell-type sequence is formatted at once; a
+    row whose types differ from its neighbour's starts a new run."""
+    case = [["skip", "case", 1.25, 1.2500001, 0.003],
+            ["skip+ic", "case", 2.5, np.float64(2.4999), 1e-320]]
+    average = [["skip", "skipping_average", 1.5, None, None],
+               ["skip+ic", "skipping_average", 0.1, None, None]]
+    coverage_rows = [(-10.0, "best", 0.9, None, None, None),
+                     (-8.0, "best", 0.8, 0.81, 0.01, 2000)]
+    rows = (case * 3 + average * 2 + case[:1] + average[:1] + case
+            + coverage_rows * 2 + [[None, None]] + [[]] * 3 + [[1, 2.0]])
+    assert _csv_rows(rows) == [per_cell_csv_row(r) for r in rows]
+
+
+def test_csv_rows_of_a_max_rows_float_array():
+    g = np.random.default_rng(8)
+    table = g.uniform(-1.0, 1.0, (MAX_ROWS, 8)) * 10.0 ** g.uniform(-300, 300,
+                                                                   (MAX_ROWS, 8))
+    table[:4] = [[0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 0.1]] * 4
+    lines = _csv_rows(table)
+    assert len(lines) == MAX_ROWS
+    assert lines == [per_cell_csv_row(r) for r in table.tolist()]
+
+
+@pytest.mark.parametrize("rows", [
+    [], [[0.5, "skip", None, 7]], np.empty((0, 8)), np.array([[0.5, -1e-300]]),
+], ids=["0-rows", "1-row", "0-row-array", "1-row-array"])
+def test_csv_rows_of_tiny_tables(rows):
+    assert _csv_rows(rows) == [per_cell_csv_row(r) for r in list(rows)]
+
+
+def test_json_rows_of_an_array_are_its_list(tmp_path):
+    table = np.random.default_rng(2).uniform(0.0, 1.0, (3, 8))
+    paths = tmp_path / "array.json", tmp_path / "list.json"
+    for path, rows in zip(paths, (table, table.tolist())):
+        _write(str(path), "json", build_config({}), list("abcdefgh"), rows)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_distance_dump(tmp_path, config_file):
     out = tmp_path / "d.csv"
     code = run(["distance", "--config", config_file, "--trials", "500",
@@ -661,6 +702,65 @@ def test_unrepresentable_se_range_exits_3_at_once(tmp_path, argv, capsys):
     assert time.perf_counter() - start < 5.0
     assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_in_process_calls_share_one_parser_and_no_state(tmp_path, capsys):
+    """A sequence of main calls in one process: the parser is built once, and
+    each call writes the bytes that it writes alone in a fresh interpreter.
+    The calls after an appended --delay, a store_true --ic, a JSON call and
+    a call that exits 2 are the ones a parser's leftovers would change."""
+    throughput = ["throughput", "--vstep", "50"]
+    delays = [*throughput, "--delay", "0.7", "--delay", "2.0"]
+    coverage_analytic = ["coverage", "--mode", "analytic", "--tstep-db", "5"]
+    sequence = [
+        ("delays", delays),
+        ("throughput", throughput),
+        ("ic", ["coverage", "--scheme", "skip", "--ic", "--mode", "analytic",
+                "--tstep-db", "5", "--format", "json"]),
+        ("coverage", coverage_analytic),
+        ("json", [*coverage_analytic, "--format", "json"]),
+        ("csv", coverage_analytic),
+        ("bad-delay", [*throughput, "--delay", "nan"]),
+        ("after-bad", throughput),
+        ("delays-again", delays),
+    ]
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["coverage", "--mode", "nope"])
+    assert exc.value.code == EXIT_CONFIG
+    codes = {name: main(argv + ["--out", str(tmp_path / name)])
+             for name, argv in sequence}
+    assert codes == {name: EXIT_CONFIG if name == "bad-delay" else EXIT_OK
+                     for name, _ in sequence}
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(sequence))
+    assert "HO delays must be finite" in capsys.readouterr().err
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    fresh = {}
+    for name in ("throughput", "coverage", "json"):
+        path = tmp_path / f"fresh-{name}"
+        argv = dict(sequence)[name]
+        proc = subprocess.run([sys.executable, "-m", "skipcomp", *argv,
+                               "--out", str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        fresh[name] = path.read_bytes()
+    out = {name: (tmp_path / name).read_bytes() for name, _ in sequence
+           if name != "bad-delay"}
+    assert out["throughput"] == out["after-bad"] == fresh["throughput"]
+    assert out["coverage"] == out["csv"] == fresh["coverage"]
+    assert out["json"] == fresh["json"]
+    assert out["delays"] == out["delays-again"]
+    # No appended --delay leaked into the call without one.
+    assert {line.split(b",")[2] for line in out["throughput"].splitlines()[3:]} \
+        == {b"0.7"}
+    assert json.loads(out["ic"])["rows"][0][1] == "skip+ic"
+    assert {line.split(b",")[1] for line in out["coverage"].splitlines()[3:]} \
+        == {b"best"}
 
 
 def test_cli_commands_do_not_load_scipy(tmp_path):

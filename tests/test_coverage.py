@@ -65,6 +65,17 @@ def test_lt_ir2_coop_at_zero_and_eta4_equivalence():
     assert a == pytest.approx(b, abs=1e-8)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: lt_i1_coop(math.nan, 0.1, 4.0, 1.0),
+    lambda: lt_ir2_coop(math.nan, 0.08, 70.0, 4.0, 1.0),
+    lambda: coverage_best(math.nan, NET),
+], ids=["lt_i1_coop", "lt_ir2_coop", "coverage_best"])
+def test_nan_argument_raises_value_error(call):
+    # The transforms returned nan, and coverage_best ran its integral on nan.
+    with pytest.raises(ValueError, match="must be >= 0"):
+        call()
+
+
 def test_lt_ir2_coop_decreases_with_intensity():
     s, r3 = 1e-5, 0.08
     assert lt_ir2_coop(s, r3, 140.0, 4.0, 1.0) < lt_ir2_coop(s, r3, 70.0, 4.0, 1.0)

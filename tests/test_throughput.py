@@ -80,6 +80,21 @@ def test_ho_cost_examples():
     assert ho_cost(BEST, 0.5, 2.5) == 1.0  # saturation clamp
 
 
+@pytest.mark.parametrize("call", [
+    lambda: MobilityParams(velocity=math.nan),
+    lambda: MobilityParams(ho_delay=math.nan),
+    lambda: ho_rate(math.nan, 70.0),
+    lambda: ho_cost(BEST, math.nan, 0.7),
+    lambda: ho_cost(COOP_IC, 1.0, math.nan),
+    lambda: skipping_avg_se(1.49, math.nan),
+], ids=["velocity", "ho_delay", "ho_rate", "ho_cost-rate", "ho_cost-delay",
+        "skipping_avg_se"])
+def test_nan_input_raises(call):
+    # min(1, rate*nan) is 1, which average_throughput prints as throughput 0.
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_saturated_cost_gives_zero_throughput():
     mob = MobilityParams(velocity=5000.0, ho_delay=2.5)
     point = average_throughput(BEST, NET, mob, OVERHEAD, se=1.49)
