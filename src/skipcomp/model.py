@@ -153,10 +153,15 @@ class SinrThreshold:
 
 
 def db_to_linear(t_db: float) -> float:
-    """Convert a dB value to a linear power ratio."""
-    if not math.isfinite(t_db):
-        raise ValueError(f"dB value must be finite, got {t_db}")
-    return 10.0 ** (t_db / 10.0)
+    """Convert a dB value to a linear power ratio; ValueError unless the ratio
+    is positive and finite (a finite dB value may over- or underflow)."""
+    try:
+        x = 10.0 ** (t_db / 10.0)
+    except OverflowError:
+        x = math.inf
+    if not (0.0 < x < math.inf):
+        raise ValueError(f"{t_db:g} dB: no positive finite linear value")
+    return x
 
 
 def linear_to_db(x: float) -> float:

@@ -72,13 +72,13 @@ def test_criterion_3_skipping_averages():
 
 def test_criterion_4_coverage_cross_validation(mc_100k):
     # Each variant from the estimator `coverage --mode mc` prints, the
-    # conditional one, over 1e5 trials of mc_100k's spec.
+    # conditional one, over 1e5 trials of mc_100k's spec, in its printed CIs.
     results = checks.mc_vs_analytic(NET, mc_100k.spec, range(-10, 21))
     worst = max(c.deviation for c in results)
     report("4 analytic-vs-mc", all(c.ok for c in results),
-           f"max dev {worst:.4f} at 1e5 trials "
+           f"max dev {worst:.2f} CIs at 1e5 trials "
            + " ".join(f"{c.name.removeprefix('mc_vs_analytic_')}:"
-                      f"{c.deviation:.4f}" for c in results))
+                      f"{c.deviation:.2f}" for c in results))
 
 
 def test_criterion_5_eta4_closed_form_equivalence():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import skipcomp
-from skipcomp import checks, coverage, throughput
+from skipcomp import checks, coverage, montecarlo, throughput
 from skipcomp.cli import (
     CONFIG_TABLE,
     EXIT_CONFIG,
@@ -27,6 +28,7 @@ from skipcomp.cli import (
     load_config,
     main,
 )
+from skipcomp.model import ANALYTIC_VARIANTS
 from skipcomp.montecarlo import K_COND, binomial_ci
 
 
@@ -338,7 +340,7 @@ def test_table1_mc_matches_analytic_near_eta_2(tmp_path, eta):
     for r in cases:
         se, mc, ci = (float(r[header.index(c)])
                       for c in ("se_analytic", "se_mc", "se_mc_ci"))
-        assert abs(mc - se) <= 3.0 * ci, (r[0], se, mc, ci)
+        assert abs(mc - se) <= checks.MC_K_CI * ci, (r[0], se, mc, ci)
 
 
 def test_table1_se_ci_is_not_floored_at_eta_2_001(tmp_path):
@@ -355,7 +357,7 @@ def test_table1_se_ci_is_not_floored_at_eta_2_001(tmp_path):
         se, mc, ci = (float(cases[sid][header.index(c)])
                       for c in ("se_analytic", "se_mc", "se_mc_ci"))
         assert 0.0 < ci < 1.96 / trials, (sid, ci)
-        assert abs(mc - se) <= 3.0 * ci, (sid, se, mc, ci)
+        assert abs(mc - se) <= checks.MC_K_CI * ci, (sid, se, mc, ci)
 
 
 def test_analytic_coverage_at_subnormal_nearest_bs_argument(tmp_path):
@@ -390,6 +392,16 @@ def per_cell_csv_row(row):
                     if isinstance(v, float) else str(v) for v in row)
 
 
+def per_cell_csv_text(rows):
+    """One per_cell_csv_row per row, each ending in a newline."""
+    return "".join(per_cell_csv_row(r) + "\n" for r in rows)
+
+
+def csv_text(rows):
+    """_csv_rows' texts, each ending in a newline, as _write writes them."""
+    return "".join(text + "\n" for text in _csv_rows(rows))
+
+
 def test_csv_rows_match_per_cell_formatting():
     g = np.random.default_rng(5)
     floats = (g.uniform(-1.0, 1.0, 80_000)
@@ -401,7 +413,7 @@ def test_csv_rows_match_per_cell_formatting():
     rows += [[1.5, "skip-comp+ic", None, 2000, -7, None, True, np.float64(0.3),
               np.float64(1e-320), np.int64(12)],
              [None, None], ["a%sb", 2.0], [], [None]]
-    assert _csv_rows(rows) == [per_cell_csv_row(r) for r in rows]
+    assert csv_text(rows) == per_cell_csv_text(rows)
 
 
 def test_csv_rows_match_per_cell_formatting_over_alternating_runs():
@@ -415,7 +427,7 @@ def test_csv_rows_match_per_cell_formatting_over_alternating_runs():
                      (-8.0, "best", 0.8, 0.81, 0.01, 2000)]
     rows = (case * 3 + average * 2 + case[:1] + average[:1] + case
             + coverage_rows * 2 + [[None, None]] + [[]] * 3 + [[1, 2.0]])
-    assert _csv_rows(rows) == [per_cell_csv_row(r) for r in rows]
+    assert csv_text(rows) == per_cell_csv_text(rows)
 
 
 def test_csv_rows_of_a_max_rows_float_array():
@@ -423,16 +435,14 @@ def test_csv_rows_of_a_max_rows_float_array():
     table = g.uniform(-1.0, 1.0, (MAX_ROWS, 8)) * 10.0 ** g.uniform(-300, 300,
                                                                    (MAX_ROWS, 8))
     table[:4] = [[0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 0.1]] * 4
-    lines = _csv_rows(table)
-    assert len(lines) == MAX_ROWS
-    assert lines == [per_cell_csv_row(r) for r in table.tolist()]
+    assert csv_text(table) == per_cell_csv_text(table.tolist())
 
 
 @pytest.mark.parametrize("rows", [
     [], [[0.5, "skip", None, 7]], np.empty((0, 8)), np.array([[0.5, -1e-300]]),
 ], ids=["0-rows", "1-row", "0-row-array", "1-row-array"])
 def test_csv_rows_of_tiny_tables(rows):
-    assert _csv_rows(rows) == [per_cell_csv_row(r) for r in list(rows)]
+    assert csv_text(rows) == per_cell_csv_text(list(rows))
 
 
 def test_json_rows_of_an_array_are_its_list(tmp_path):
@@ -627,16 +637,53 @@ def test_validate_prints_every_check(capsys):
     names += ["best_connected_anchor"]
     names += [f"eta4_equivalence_T{t}{ic}" for ic in ("", "_ic")
               for t in checks.ETA4_THRESHOLDS]
-    assert [ln.split(":")[0] for ln in lines[1:]] == names
-    assert all(ln.endswith(": pass") for ln in lines[1:])
+    names += [f"mc_vs_analytic_{s.scheme_id}" for s in ANALYTIC_VARIANTS]
+    assert [ln.split(":")[0] for ln in lines] == names
+    assert all(ln.endswith(": pass") for ln in lines)
 
 
-def test_validate_underpowered_mc_is_skipped(tmp_path, config_file, capsys):
-    code = run(["validate", "--config", config_file])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    assert "skipped: underpowered" in out
-    assert "FAIL" not in out
+def test_validate_checks_mc_at_a_config_files_2000_trials(config_file, capsys):
+    assert run(["validate", "--config", config_file]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("mc_vs_analytic_")] == [
+        f"mc_vs_analytic_{s.scheme_id}: pass" for s in ANALYTIC_VARIANTS]
+
+
+@pytest.mark.parametrize("off, code", [(4.0, 1), (2.0, EXIT_OK)])
+def test_validate_judges_mc_in_its_printed_cis(off, code, monkeypatch, capsys):
+    """With one skip cell `off` printed CIs from analytic, validate fails
+    skip's check only beyond checks.MC_K_CI = 3, at 1000 trials as at any."""
+    estimate = montecarlo.empirical_coverage
+
+    def one_cell_off(scheme, params, sim, thresholds_db):
+        curve = estimate(scheme, params, sim, thresholds_db)
+        if scheme.scheme_id != "skip":
+            return curve
+        a = coverage.coverage_curve(scheme, params, thresholds_db).values[5]
+        ci = curve.ci_halfwidths[5]
+        values = list(curve.values)
+        values[5] = a + off * ci if a < 0.5 else a - off * ci
+        return dataclasses.replace(curve, values=tuple(values))
+
+    monkeypatch.setattr(montecarlo, "empirical_coverage", one_cell_off)
+    assert run(["validate", "--trials", "1000"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("mc_vs_analytic_")] == [
+        f"mc_vs_analytic_{s.scheme_id}: "
+        + ("FAIL" if s.scheme_id == "skip" and off > checks.MC_K_CI else "pass")
+        for s in ANALYTIC_VARIANTS]
+
+
+@pytest.mark.parametrize("flag", [["--out", "v.csv"], ["--format", "json"]],
+                         ids=["out", "format"])
+def test_validate_takes_no_output_flags(tmp_path, monkeypatch, flag, capsys):
+    """validate writes no table, so it refuses the table writers' flags."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(["validate", "--trials", "100", *flag])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "v.csv").exists()
 
 
 @pytest.mark.parametrize("noise", [[], ["--config", NOISY_CONFIG]],
@@ -781,8 +828,9 @@ for argv in (["coverage", "--mode", "analytic", "--eta", "3.5", "--config", {noi
              ["coverage", "--scheme", "skip-comp", "--coherent", "--mode", "mc",
               "--eta", "3.5", "--trials", "2000"],
              ["table1", "--trials", "2000"], ["throughput"],
-             ["validate", "--trials", "100"], ["distance", "--trials", "100"]):
+             ["distance", "--trials", "100"]):
     assert main(argv + ["--out", out]) == 0, argv
+assert main(["validate", "--trials", "100"]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 """

@@ -5,7 +5,7 @@ import pytest
 from scipy import special, stats
 
 from skipcomp import montecarlo
-from skipcomp.checks import ETA4_REFERENCE
+from skipcomp.checks import ETA4_REFERENCE, MC_K_CI
 from skipcomp.coverage import best_connected_closed_form, coverage_curve
 from skipcomp.distances import sample_ordered_v
 from skipcomp.model import ANALYTIC_VARIANTS, Association, NetworkParams, SchemeSpec
@@ -183,7 +183,7 @@ def test_mc_spectral_efficiency_agrees_with_raw_oracle(big_mc, table1_mc):
     for scheme in ANALYTIC_VARIANTS:
         se, ci = table1_mc[scheme.scheme_id]
         raw, raw_ci = spectral_efficiency_from_result(big_mc, scheme)
-        assert abs(se - raw) <= 3.0 * math.hypot(ci, raw_ci), scheme.scheme_id
+        assert abs(se - raw) <= MC_K_CI * math.hypot(ci, raw_ci), scheme.scheme_id
 
 
 @pytest.mark.parametrize("eta", [2.05, 2.5, 3.5, 4.0, 6.0])
@@ -345,7 +345,7 @@ def test_conditional_best_connected_is_unbiased_at_eta_2_5():
                             grid)
     analytic = coverage_curve(best, net, grid).values
     for a, m, ci in zip(analytic, mc.values, mc.ci_halfwidths):
-        assert abs(a - m) <= 3.0 * ci
+        assert abs(a - m) <= MC_K_CI * ci
 
 
 @pytest.mark.parametrize("eta", [4.0, 6.0])
@@ -388,6 +388,19 @@ def test_conditional_probability_underflows_to_zero_without_raising():
     v = sample_ordered_v(rng(4), 100, K_COND)
     for scheme in ANALYTIC_VARIANTS:
         assert (trial_coverage(net, scheme, v, np.array([1e300])) == 0.0).all()
+
+
+@pytest.mark.parametrize("t_db", [-4000.0, 4000.0])
+def test_estimators_refuse_a_db_threshold_without_a_linear_value(t_db):
+    """10^-400 underflows to 0 and 10^400 overflows: both estimators, and the
+    raw one, refuse such a threshold alike, through model.db_to_linear."""
+    sim = SimulationSpec(trials=10, seed=1)
+    with pytest.raises(ValueError, match="no positive finite linear value"):
+        coverage_curve(ANALYTIC_VARIANTS[0], NET, [t_db])
+    with pytest.raises(ValueError, match="no positive finite linear value"):
+        empirical_coverage(ANALYTIC_VARIANTS[0], NET, sim, [t_db])
+    with pytest.raises(ValueError, match="no positive finite linear value"):
+        coverage_from_result(simulate(NET, sim), ANALYTIC_VARIANTS[0], [t_db])
 
 
 def test_conditional_ci_is_at_least_one_trial():
@@ -484,7 +497,7 @@ def test_conditional_cooperative_is_unbiased_at_eta_2_5(scheme):
     analytic = coverage_curve(scheme, net, grid).values
     for a, m, ci in zip(analytic, mc.values, mc.ci_halfwidths):
         ci = max(ci, binomial_ci(max(a, m), sim.trials))
-        assert abs(a - m) <= 3.0 * ci, (a, m, ci)
+        assert abs(a - m) <= MC_K_CI * ci, (a, m, ci)
 
 
 # --------------------------------------------------------------------------
@@ -549,7 +562,7 @@ def test_coherent_matches_raw_reference_at_eta_4(scheme):
             simulate(net, SimulationSpec(trials=20_000, seed=4)), scheme, grid)
         for c, cc, r, rc in zip(coh.values, coh.ci_halfwidths, raw.values,
                                 raw.ci_halfwidths):
-            assert abs(c - r) <= 3.0 * math.hypot(cc, rc), (noise, c, r)
+            assert abs(c - r) <= MC_K_CI * math.hypot(cc, rc), (noise, c, r)
 
 
 @pytest.mark.parametrize("scheme", COHERENT, ids=lambda s: s.scheme_id)
