@@ -12,6 +12,7 @@ failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import sys
@@ -365,7 +366,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def keep_freed_heap() -> bool:
+    """Keep freed heap in the process, once per process: glibc's dynamic trim
+    threshold settles near 1 MiB while an MC batch's temporaries peak near
+    2.7 MiB, so each job would return them to the OS and page-fault them back
+    in.  Setting either threshold freezes glibc's dynamic adjustment of both,
+    so both are set.  False, doing nothing, where libc has no mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD: keep up to 32 MiB freed
+    mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD: blocks below 1 MiB on the heap
+    return True
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    keep_freed_heap()
     args = build_parser().parse_args(argv)
     overrides = {key: getattr(args, key) for key, *_, flag in CONFIG_TABLE
                  if flag}

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 import math
@@ -25,6 +26,7 @@ from skipcomp.cli import (
     _write,
     build_config,
     build_parser,
+    keep_freed_heap,
     load_config,
     main,
 )
@@ -808,6 +810,46 @@ def test_in_process_calls_share_one_parser_and_no_state(tmp_path, capsys):
     assert json.loads(out["ic"])["rows"][0][1] == "skip+ic"
     assert {line.split(b",")[1] for line in out["coverage"].splitlines()[3:]} \
         == {b"best"}
+
+
+@pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
+                    reason="the C library has no mallopt")
+def test_repeated_mc_job_does_not_page_fault(tmp_path):
+    """The third of three identical MC jobs in one process reuses the heap
+    the first two freed: glibc's dynamic thresholds alone give 600-750 minor
+    page faults a job, the policy main sets leaves almost none."""
+    script = f"""
+import resource
+from skipcomp.cli import main
+argv = ["coverage", "--scheme", "skip", "--mode", "mc", "--eta", "3.5",
+        "--trials", "2000", "--tmin-db", "-10", "--tmax-db", "20",
+        "--tstep-db", "2", "--out", {str(tmp_path / "x.csv")!r}]
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert int(proc.stdout) < 100
+
+
+def test_main_runs_where_libc_has_no_mallopt(tmp_path, monkeypatch):
+    argv = ["coverage", "--mode", "analytic", "--tstep-db", "5"]
+    assert main(argv + ["--out", str(tmp_path / "with")]) == EXIT_OK
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    keep_freed_heap.cache_clear()
+    try:
+        assert main(argv + ["--out", str(tmp_path / "without")]) == EXIT_OK
+        assert keep_freed_heap() is False
+    finally:
+        keep_freed_heap.cache_clear()
+    assert (tmp_path / "without").read_bytes() == (tmp_path / "with").read_bytes()
 
 
 def test_cli_commands_do_not_load_scipy(tmp_path):
