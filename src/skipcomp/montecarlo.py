@@ -55,10 +55,15 @@ batch reads the (n, K_COND) distance gaps, and a coherent one then the n
 shares U, so both coherent parts see the same geometry.  Identical (seed,
 trials, batch_size, params) therefore reproduce results bit-exactly, the
 first k batches of a run equal a k-batch run, and batches are independent by
-construction.  So batches may run concurrently, on up to one thread per
-usable CPU; their results are reduced in batch order, so the thread count
-changes no output.  A gain that overflows or turns subnormal, as at eta in
-the hundreds, raises FloatingPointError in the batch that meets it.
+construction.  So ``simulate`` and ``empirical_spectral_efficiencies`` run
+batches on up to one thread per usable CPU, and the conditional coverage on
+the calling thread: its per-threshold ufuncs span ~38k values per batch, where
+two threads get 1.2-1.4x one's throughput on 2 vCPUs (up to 1.75x at 608k),
+too little to pay for the pool (7 variants at 5k trials: 92 ms on one thread,
+116 ms on two; table1's MC: 34 ms, 25 ms).  Batches are reduced in order, so
+the thread count changes no output.  A gain that overflows or turns
+subnormal, as at eta in the hundreds, raises FloatingPointError in the batch
+that meets it.
 """
 
 from __future__ import annotations
@@ -128,7 +133,9 @@ def _usable_cpus() -> int:
 
 
 def _map_batches(fn: Callable, batches: Iterator[tuple]) -> Iterator:
-    """fn(*args) for each args of ``batches``, in order.
+    """fn(*args) for each args of ``batches``, in order: the batches of
+    ``simulate`` and ``empirical_spectral_efficiencies``, whose ufuncs overlap
+    on threads, not coverage's ~38k-value ones (module docstring).
 
     ``batches`` is read on the calling thread; the calls run on up to one
     thread per usable CPU, at most that many in flight, so a long run holds
@@ -282,14 +289,15 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
 def conditional_batches(scheme: SchemeSpec, params: NetworkParams,
                         sim: SimulationSpec,
                         thresholds: np.ndarray) -> Iterator[np.ndarray]:
-    """``trial_coverage`` of each batch of the run, in order; a coherent
+    """``trial_coverage`` of each batch of the run, in order, on the calling
+    thread, as two threads do not overlap its ~38k-value ufuncs; a coherent
     batch draws each trial's U after its geometry."""
     def batch(rng: np.random.Generator, n: int) -> np.ndarray:
         v = sample_ordered_v(rng, n, K_COND)
         return trial_coverage(params, scheme, v, thresholds,
                               rng.random(n) if scheme.coherent else None)
 
-    return _map_batches(batch, _batches(sim))
+    return starmap(batch, _batches(sim))
 
 
 def _mean_and_ci(batches: Iterator[np.ndarray], n: int,

@@ -531,8 +531,9 @@ GUARDED_COMMANDS = {**MC_COMMANDS, "coverage-best": [
     "coverage", "--scheme", "best", "--mode", "mc", "--tstep-db", "10",
     "--trials", "2000"], "coverage-coherent": MC_COMMANDS["coverage"] + [
     "--coherent"]}
-#: Three batches each, so the batches run on worker threads, where numpy's
-#: error state is not the caller's.
+#: Three batches each.  Coverage runs them on the calling thread, under the
+#: caller's numpy error state; table1's would run on worker threads, whose
+#: error state is not the caller's, but it exits before its MC (above).
 GUARDED_COMMANDS.update({f"{cmd}-3-batches": argv + ["--trials", "6000"]
                          for cmd, argv in list(GUARDED_COMMANDS.items())})
 

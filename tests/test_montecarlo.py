@@ -82,32 +82,60 @@ def test_simulate_deterministic_given_seed():
         assert (a.sinr[k] == b.sinr[k]).all()
 
 
-def every_estimate(spec):
-    """The raw SINRs and the conditional curves of one run."""
-    raw = simulate(NET, spec)
+#: trials=5000 in batches of 2000: three batches, the last one ragged.
+THREE_BATCHES = SimulationSpec(trials=5000, seed=123, batch_size=2000)
+
+
+def every_curve(spec):
+    """The conditional curves, values and CIs, of every variant."""
     curves = [empirical_coverage(s, NET, spec, [-10.0, 0.0, 10.0, 20.0])
               for s in ANALYTIC_VARIANTS + COHERENT]
-    return raw, [(c.values, c.ci_halfwidths) for c in curves]
+    return [(c.values, c.ci_halfwidths) for c in curves]
+
+
+def every_estimate(spec):
+    """The raw SINRs, the conditional curves and table1's MC SEs of one run."""
+    return (simulate(NET, spec), every_curve(spec),
+            empirical_spectral_efficiencies(NET, spec))
 
 
 @pytest.mark.parametrize("workers", [None, 3], ids=["default", "3"])
 def test_threaded_batches_equal_serial_bit_for_bit(workers, monkeypatch):
-    """trials=5000 in batches of 2000: three batches, the last one ragged."""
-    spec = SimulationSpec(trials=5000, seed=123, batch_size=2000)
     if workers is not None:
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
-    threaded_raw, threaded_curves = every_estimate(spec)
+    threaded_raw, threaded_curves, threaded_se = every_estimate(THREE_BATCHES)
 
     def no_pool(*args):
         raise AssertionError("a one-CPU run opened a thread pool")
 
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
-    serial_raw, serial_curves = every_estimate(spec)
+    serial_raw, serial_curves, serial_se = every_estimate(THREE_BATCHES)
     assert threaded_raw.sinr.keys() == serial_raw.sinr.keys()
     for key, sinr in serial_raw.sinr.items():
         assert np.array_equal(threaded_raw.sinr[key], sinr), key
     assert threaded_curves == serial_curves
+    assert threaded_se == serial_se
+
+
+def test_coverage_batches_bypass_the_pool_table1_mc_uses_it(monkeypatch):
+    """With 3 CPUs and 3 batches, coverage of every variant runs its batches
+    on the calling thread, with the output of an unpatched run; table1's MC
+    spectral efficiency, whose batches overlap on threads, opens a pool."""
+    unpatched = every_curve(THREE_BATCHES)
+    pools = []
+
+    def no_pool(workers):
+        pools.append(workers)
+        raise RuntimeError("opened a thread pool")
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+    assert every_curve(THREE_BATCHES) == unpatched
+    assert pools == []
+    with pytest.raises(RuntimeError, match="opened a thread pool"):
+        empirical_spectral_efficiencies(NET, THREE_BATCHES)
+    assert pools == [3]
 
 
 def test_different_seeds_differ():
