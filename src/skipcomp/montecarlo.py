@@ -51,25 +51,40 @@ run with seed s (0 <= s < 2^63) uses an independent Philox counter-based
 stream keyed by (s, b), read from counter 0.  A raw batch reads, in order, the
 (n, K) distance gaps, the n powers of BS 1, the (n, K-3) tail powers and the
 (n, 2) real then imaginary parts of the gains of BSs 2 and 3.  A conditional
-batch reads the (n, K_COND) distance gaps, and a coherent one then the n
-shares U, so both coherent parts see the same geometry.  Identical (seed,
-trials, batch_size, params) therefore reproduce results bit-exactly, the
-first k batches of a run equal a k-batch run, and batches are independent by
-construction.  So ``simulate`` and ``empirical_spectral_efficiencies`` run
-batches on up to one thread per usable CPU, and the conditional coverage on
-the calling thread: its per-threshold ufuncs span ~38k values per batch, where
-two threads get 1.2-1.4x one's throughput on 2 vCPUs (up to 1.75x at 608k),
-too little to pay for the pool (7 variants at 5k trials: 92 ms on one thread,
-116 ms on two; table1's MC: 34 ms, 25 ms).  Batches are reduced in order, so
-the thread count changes no output.  A gain that overflows or turns
-subnormal, as at eta in the hundreds, raises FloatingPointError in the batch
-that meets it.
+batch reads the (n, K_COND) distance gaps, then the n shares U, which only
+the coherent variants use, so both coherent parts see the same geometry.
+Identical (seed, trials, batch_size, params) therefore reproduce results
+bit-exactly, the first k batches of a run equal a k-batch run, and batches
+are independent by construction.
+
+A conditional batch's draws depend on (seed, b, n) alone, not on lambda, eta,
+noise or the variant, so every run on a seed shares them, and by the prefix
+property above a shorter run on the same (seed, batch_size) reads the first
+batches of a longer one.  ``_conditional_draws`` keys them by (seed,
+batch_size, b, n), n because a run's last batch may be partial and its U
+follows its own n gaps, and keeps the batches of the last (seed, batch_size)
+as read-only arrays up to DRAW_MEMO_BYTES (4 MiB, 12 batches of 2,000);
+later batches are drawn and not kept, and a new (seed, batch_size) drops the
+old ones.  The budget bounds the memory a process keeps: a whole 100k-trial
+run would hold 16.8 MB, and a lone non-coherent run draws each batch once
+whatever the budget.
+
+``simulate`` and ``empirical_spectral_efficiencies`` run batches on up to one
+thread per usable CPU, and the conditional coverage on the calling thread:
+its per-threshold ufuncs span ~38k values per batch, where two threads get
+1.2-1.4x one's throughput on 2 vCPUs (up to 1.75x at 608k), too little to pay
+for the pool (7 variants at 5k trials: 92 ms on one thread, 116 ms on two;
+table1's MC: 34 ms, 25 ms).  Conditional draws are read on the calling
+thread.  Batches are reduced in order, so the thread count changes no output.
+A gain that overflows or turns subnormal, as at eta in the hundreds, raises
+FloatingPointError in the batch that meets it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -119,10 +134,41 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, batch_index]))
 
 
-def _batches(spec: SimulationSpec) -> Iterator[Tuple[np.random.Generator, int]]:
-    """(stream, trial count) of each batch of a run, in order."""
+def _batches(spec: SimulationSpec) -> Iterator[Tuple[int, int]]:
+    """(index, trial count) of each batch of a run, in order."""
     for b, start in enumerate(range(0, spec.trials, spec.batch_size)):
-        yield _batch_rng(spec.seed, b), min(spec.batch_size, spec.trials - start)
+        yield b, min(spec.batch_size, spec.trials - start)
+
+
+#: Bytes of conditional draws kept for later runs: 12 batches of 2,000.
+DRAW_MEMO_BYTES = 4 << 20
+#: (seed, batch_size, b, n) -> the read-only (v, U) of that batch, all of one
+#: (seed, batch_size); filled and emptied by ``_conditional_draws`` alone.
+_DRAW_MEMO: Dict[Tuple[int, int, int, int], Tuple[np.ndarray, np.ndarray]] = {}
+_DRAW_MEMO_LOCK = threading.Lock()
+
+
+def _conditional_draws(sim: SimulationSpec
+                       ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Each batch's read-only (v, U) of the conditional estimator, in order:
+    v of its K_COND nearest BSs, shape (n, K_COND), and its n shares U.  A
+    batch not in ``_DRAW_MEMO`` is drawn and kept while the memo holds at most
+    DRAW_MEMO_BYTES; a batch of another (seed, batch_size) first empties it."""
+    for b, n in _batches(sim):
+        key = (sim.seed, sim.batch_size, b, n)
+        draws = _DRAW_MEMO.get(key)
+        if draws is None:
+            rng = _batch_rng(sim.seed, b)
+            draws = sample_ordered_v(rng, n, K_COND), rng.random(n)
+            for a in draws:
+                a.flags.writeable = False
+            with _DRAW_MEMO_LOCK:
+                if any(k[:2] != key[:2] for k in _DRAW_MEMO):
+                    _DRAW_MEMO.clear()
+                held = sum(a.nbytes for kept in _DRAW_MEMO.values() for a in kept)
+                if held + sum(a.nbytes for a in draws) <= DRAW_MEMO_BYTES:
+                    _DRAW_MEMO[key] = draws
+        yield draws
 
 
 def _usable_cpus() -> int:
@@ -206,8 +252,9 @@ def _batch_sinrs(params: NetworkParams, k: int, n: int,
 
 def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
     """Run the full raw simulation; one shared pass covers every scheme variant."""
-    batches = list(_map_batches(lambda rng, n: _batch_sinrs(params, K_RAW, n, rng),
-                                _batches(spec)))
+    batches = list(_map_batches(
+        lambda b, n: _batch_sinrs(params, K_RAW, n, _batch_rng(spec.seed, b)),
+        _batches(spec)))
     return SimulationResult(
         sinr={s.scheme_id: np.concatenate([sinr[s.scheme_id] for sinr in batches])
               for s in VARIANTS},
@@ -290,14 +337,10 @@ def conditional_batches(scheme: SchemeSpec, params: NetworkParams,
                         sim: SimulationSpec,
                         thresholds: np.ndarray) -> Iterator[np.ndarray]:
     """``trial_coverage`` of each batch of the run, in order, on the calling
-    thread, as two threads do not overlap its ~38k-value ufuncs; a coherent
-    batch draws each trial's U after its geometry."""
-    def batch(rng: np.random.Generator, n: int) -> np.ndarray:
-        v = sample_ordered_v(rng, n, K_COND)
-        return trial_coverage(params, scheme, v, thresholds,
-                              rng.random(n) if scheme.coherent else None)
-
-    return starmap(batch, _batches(sim))
+    thread, as two threads do not overlap its ~38k-value ufuncs; only a
+    coherent variant reads the batch's U."""
+    return (trial_coverage(params, scheme, v, thresholds, u)
+            for v, u in _conditional_draws(sim))
 
 
 def _mean_and_ci(batches: Iterator[np.ndarray], n: int,
@@ -351,8 +394,7 @@ def empirical_spectral_efficiencies(params: NetworkParams, sim: SimulationSpec
     c/(1 + c)*(1 + t*g_3/g_2), and skip and skip-comp their IC forms' * r_1."""
     upper = throughput.se_upper(params.eta)
 
-    def batch(rng: np.random.Generator, n: int) -> np.ndarray:
-        v = sample_ordered_v(rng, n, K_COND)
+    def batch(v: np.ndarray, _u: np.ndarray) -> np.ndarray:
         gain, _ = _gains(params, v)
         lower = np.log(gain[:, 1]) - np.log(gain[:, 0])  # ln(g_2/g_1)
         g32 = (gain[:, 2] / gain[:, 1])[:, None]
@@ -368,8 +410,8 @@ def empirical_spectral_efficiencies(params: NetworkParams, sim: SimulationSpec
         return sum(gauss_legendre(integrand, lo, hi, MC_SE_NODES)
                    for lo, hi in ((lower - 40.0, 0.0), (0.0, upper)))
 
-    mean, ci = _mean_and_ci(_map_batches(batch, _batches(sim)), sim.trials,
-                            probabilities=False)
+    mean, ci = _mean_and_ci(_map_batches(batch, _conditional_draws(sim)),
+                            sim.trials, probabilities=False)
     return {s: (float(m), float(c)) for s, m, c in zip(ANALYTIC_VARIANTS, mean, ci)}
 
 

@@ -2,10 +2,18 @@ import dataclasses
 
 import pytest
 
+from skipcomp import montecarlo
 from skipcomp.model import NetworkParams
 from skipcomp.montecarlo import SimulationSpec, empirical_spectral_efficiencies, simulate
 
 ACCEPT_SEED = 20240817
+
+
+@pytest.fixture(autouse=True)
+def fresh_draw_memo():
+    """Each test starts with no conditional draws kept from an earlier one, so
+    a test that counts or replays draws sees them made."""
+    montecarlo._DRAW_MEMO.clear()
 
 
 @pytest.fixture(scope="session")

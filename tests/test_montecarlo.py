@@ -138,6 +138,125 @@ def test_coverage_batches_bypass_the_pool_table1_mc_uses_it(monkeypatch):
     assert pools == [3]
 
 
+# --------------------------------------------------------------------------
+# Conditional draws kept across runs
+# --------------------------------------------------------------------------
+
+def count_draws(monkeypatch):
+    """The batch indices whose streams are opened from now on."""
+    drawn = []
+
+    def recorded(seed, b):
+        drawn.append(b)
+        return rng(seed, b)
+
+    monkeypatch.setattr(montecarlo, "_batch_rng", recorded)
+    return drawn
+
+
+def fresh(fn, *args):
+    """fn(*args) from an empty memo, as the first run of a process."""
+    montecarlo._DRAW_MEMO.clear()
+    return fn(*args)
+
+
+def memo_bytes():
+    return sum(a.nbytes for draws in montecarlo._DRAW_MEMO.values() for a in draws)
+
+
+#: Every conditional estimate of one run, keyed, coherent variants last; a
+#: noisy eta 3.5 network shares the draws of the paper's point.
+NOISY = NetworkParams(lambda_bs=10.0, eta=3.5, noise_power=1e3)
+ESTIMATES = (
+    [("table1", empirical_spectral_efficiencies, (NET,))]
+    + [(s.scheme_id, empirical_coverage, (s, NET))
+       for s in ANALYTIC_VARIANTS + COHERENT]
+    + [("noisy-skip-comp", empirical_coverage, (COOP, NOISY))]
+)
+
+
+@pytest.mark.parametrize("coherent_first", [False, True], ids=["last", "first"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_kept_draws_give_every_estimate_of_a_fresh_run(workers, coherent_first,
+                                                       monkeypatch):
+    """table1's MC at 1 and 3 workers, the seven coverage variants and a
+    noisy regime, run one after another on one seed, equal each one run from
+    an empty memo bit for bit, and only the first run draws."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+    estimates = ESTIMATES[::-1] if coherent_first else ESTIMATES
+    grid = [-10.0, 0.0, 10.0, 20.0]
+
+    def run(fn, args):
+        return fn(*args, THREE_BATCHES, *([grid] if fn is empirical_coverage else []))
+
+    alone = {key: fresh(run, fn, args) for key, fn, args in estimates}
+    montecarlo._DRAW_MEMO.clear()
+    drawn = count_draws(monkeypatch)
+    assert {key: run(fn, args) for key, fn, args in estimates} == alone
+    assert drawn == [0, 1, 2]
+
+
+def test_run_longer_than_the_budget_keeps_only_its_first_batches(monkeypatch):
+    """Batches past DRAW_MEMO_BYTES are drawn and not kept: a second run draws
+    just those, and both equal a fresh run."""
+    sim = SimulationSpec(trials=31_000, seed=8, batch_size=2000)
+    alone = fresh(empirical_coverage, COOP, NET, sim, [0.0, 10.0])
+    montecarlo._DRAW_MEMO.clear()
+    drawn = count_draws(monkeypatch)
+    for _ in range(2):
+        assert empirical_coverage(COOP, NET, sim, [0.0, 10.0]) == alone
+        assert memo_bytes() <= montecarlo.DRAW_MEMO_BYTES
+    kept = len(montecarlo._DRAW_MEMO)
+    assert kept == montecarlo.DRAW_MEMO_BYTES // ((K_COND + 1) * 8 * 2000) == 12
+    assert drawn == list(range(16)) + list(range(kept, 16))
+
+
+def test_shorter_run_reads_the_batches_it_shares(monkeypatch):
+    """After a 3-batch run with a partial last batch, a 2-batch run reuses its
+    full batches only: a partial batch is a batch of its own, whose U follows
+    its own gaps."""
+    long_run = SimulationSpec(trials=5000, seed=21, batch_size=2000)
+    short = {n: SimulationSpec(trials=n, seed=21, batch_size=2000)
+             for n in (3000, 4000)}
+    alone = {n: fresh(empirical_coverage, COHERENT[0], NET, sim, [0.0, 10.0])
+             for n, sim in short.items()}
+    montecarlo._DRAW_MEMO.clear()
+    empirical_coverage(COHERENT[0], NET, long_run, [0.0, 10.0])
+    drawn = count_draws(monkeypatch)
+    for n, sim in short.items():
+        assert empirical_coverage(COHERENT[0], NET, sim, [0.0, 10.0]) == alone[n]
+    assert drawn == [1]  # batch 1 of 1,000 trials, for the 3,000-trial run
+
+
+def test_interleaved_runs_on_two_seeds_equal_fresh_runs():
+    """Two runs whose batches alternate, each on its own seed, drop each
+    other's draws and still read only their own."""
+    sims = [SimulationSpec(trials=5000, seed=s, batch_size=2000) for s in (1, 2)]
+    t = np.array([1.0, 10.0])
+    alone = [fresh(lambda sim: list(conditional_batches(COOP_IC, NET, sim, t)), sim)
+             for sim in sims]
+    montecarlo._DRAW_MEMO.clear()
+    runs = [conditional_batches(COOP_IC, NET, sim, t) for sim in sims]
+    together = [[], []]
+    for _ in range(3):
+        for out, run in zip(together, runs):
+            out.append(next(run))
+    for a, b in zip(together, alone):
+        assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert {key[:2] for key in montecarlo._DRAW_MEMO} == {(2, 2000)}
+
+
+def test_kept_draws_are_read_only():
+    sim = SimulationSpec(trials=300, seed=4, batch_size=200)
+    for v, u in montecarlo._conditional_draws(sim):
+        for a in (v, u):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+    assert len(montecarlo._DRAW_MEMO) == 2
+    for v, u in montecarlo._DRAW_MEMO.values():
+        assert not (v.flags.writeable or u.flags.writeable)
+
+
 def test_different_seeds_differ():
     a = simulate(NET, SimulationSpec(trials=1000, seed=1))
     b = simulate(NET, SimulationSpec(trials=1000, seed=2))
@@ -487,10 +606,12 @@ def test_conditional_batches_draw_only_the_nearest_distances(scheme, monkeypatch
     monkeypatch.setattr(montecarlo, "_batch_rng", recorded)
     batches = list(conditional_batches(scheme, net, sim, t))
     assert [p.shape for p in batches] == [(3, 100), (3, 100), (3, 50)]
+    assert [b for b, _ in streams] == [0, 1, 2]
     for (b, used), p in zip(streams, batches):
         replay = rng(sim.seed, b)
         d2 = np.cumsum(replay.standard_exponential((p.shape[1], K_COND)), axis=1) \
             / (math.pi * net.lambda_bs)
+        replay.random(p.shape[1])  # the shares U, read by every batch
         # The batch consumed exactly these draws and nothing more.
         assert np.array_equal(used.random(4), replay.random(4))
         for j in range(p.shape[1]):
@@ -498,6 +619,7 @@ def test_conditional_batches_draw_only_the_nearest_distances(scheme, monkeypatch
                 assert p[i, j] == pytest.approx(
                     reference_trial_coverage(net, scheme, d2[j], ti), rel=1e-10)
 
+    montecarlo._DRAW_MEMO.clear()  # the prefix property, not the memo
     first_two = list(conditional_batches(
         scheme, net, SimulationSpec(trials=200, seed=17, batch_size=100), t))
     for a, b in zip(first_two, batches):
