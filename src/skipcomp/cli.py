@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, compress, cycle, groupby
 from types import NoneType
-from typing import Dict, List, Optional, Sequence, Union, get_type_hints
+from typing import (Dict, List, Optional, Sequence, Tuple, Union,
+                    get_type_hints)
 
 import numpy as np
 
@@ -164,25 +165,173 @@ def _csv_rows(rows: Union[Sequence[Sequence], np.ndarray]) -> List[str]:
     as ``str()`` gives it.
 
     One ``%`` operation formats each run of consecutive rows that share a
-    sequence of cell types, over the run's cells flattened; a 2-D float array
-    is one all-float run.
+    sequence of cell types, over the run's cells flattened.  A 2-D float
+    array goes to `_float_table_texts`, which writes the same bytes.
     """
     if isinstance(rows, np.ndarray):
-        runs = [((float,) * rows.shape[1], len(rows), rows.ravel().tolist())]
-    else:
-        runs = []
-        for types, run in groupby(rows, lambda row: tuple(map(type, row))):
-            run = list(run)
-            runs.append((types, len(run), chain.from_iterable(run)))
+        if rows.size:
+            return _float_table_texts(rows)
+        rows = rows.tolist()
+    runs = []
+    for types, run in groupby(rows, lambda row: tuple(map(type, row))):
+        run = list(run)
+        runs.append((types, len(run), chain.from_iterable(run)))
     texts = []
     for types, n, cells in runs:
-        if not n:
-            continue
         fmt = ",".join("" if t is NoneType else "%.10g" if issubclass(t, float)
                        else "%s" for t in types)
         if NoneType in types:
             cells = compress(cells, cycle([t is not NoneType for t in types]))
         texts.append("\n".join([fmt] * n) % tuple(cells))
+    return texts
+
+
+# A float table's cells are formatted in numpy, FLOAT_CHUNK_ROWS rows at a
+# time.  A cell x with |x| in FAST_RANGE has decimal exponent X and digits
+# m = round(|x| * 10**(9 - X)), 10**9 <= m < 10**10; the one scaling errs by
+# under 3e-6 of m's last unit, so m is the correctly rounded one unless |x| *
+# 10**(9 - X) lies within TIE_DELTA of a half.  Such cells, and 0, -0, inf,
+# nan and the doubles outside FAST_RANGE, are left to ``'%.10g' % x``.
+FLOAT_CHUNK_ROWS = 2048
+FAST_RANGE = (1e-290, 1e290)
+TIE_DELTA = 1e-3
+_X_SPAN = 300  # the tables cover decimal exponents -300 ... 300
+_CELL = 18  # bytes of the longest cell, '-1.234567891e-100', and its separator
+
+# A cell's source row has 24 bytes: its 10 digits, '0.000', '-', then its
+# exponent suffix ('e' and the signed exponent), zero-padded to 5 bytes, its
+# separator and 2 zeros.  Its layout key is 160 * (x < 0) + 10 * class +
+# (k - 1): class 0-13 is fixed point with X = class - 4, 14 and 15 an
+# exponent of 2 and 3 digits, and k the significant digits left once
+# trailing zeros are stripped.
+_ZEROS, _POINT, _MINUS, _EXP, _SEP = 10, 11, 15, 16, 21
+_LAYOUTS = 320
+
+
+@cache
+def _layout_runs(key: int) -> List[List[int]]:
+    """Where the bytes of a cell of this layout come from in its source row,
+    as [dst, dst_end, src, src_end] runs."""
+    neg, cls, k = key // 160, key // 10 % 16, key % 10 + 1
+    slots = [_MINUS] if neg else []
+    if 4 <= cls < 14:
+        slots += range(cls - 3)
+        if k > cls - 3:
+            slots += [_POINT, *range(cls - 3, k)]
+    elif cls < 4:  # '0.', 3 - cls zeros, the digits
+        slots += [*range(_ZEROS, _ZEROS + 5 - cls), *range(k)]
+    else:
+        slots += [0] + ([_POINT, *range(1, k)] if k > 1 else [])
+        slots += range(_EXP, _EXP + cls - 10)
+    slots.append(_SEP)
+    runs = []
+    for dst, src in enumerate(slots):
+        if runs and runs[-1][3] == src and runs[-1][1] == dst:
+            runs[-1][1:4:2] = dst + 1, src + 1
+        else:
+            runs.append([dst, dst + 1, src, src + 1])
+    return runs
+
+
+@cache
+def _cell_tables():
+    """The kernel's tables, built on its first call: correctly rounded powers
+    of ten; as words of a source row, each 4-digit group, each last 2 digits
+    with '0.', '000-', each exponent suffix and each separator; each 4-digit
+    group's significant digits once its trailing zeros are stripped; and the
+    layout key of each exponent's cells, were they positive with k = 6."""
+    span = np.arange(-_X_SPAN, _X_SPAN + 1)
+    pow10 = np.array([float(f"1e{p}") for p in range(-_X_SPAN, _X_SPAN + 11)])
+    d = np.arange(48, 58, dtype=np.uint8)
+    digits = np.array(np.meshgrid(d, d, d, d, indexing="ij")).reshape(4, -1).T
+    four = np.ascontiguousarray(digits).view(np.uint32).ravel()
+    last = np.column_stack([digits[:100, 2:], np.full((100, 2), [48, 46])])
+    last = last.astype(np.uint8).view(np.uint32).ravel()
+    zeros = np.frombuffer(b"000-", np.uint32)
+    exps = np.frombuffer("".join(f"e{x:+03d}".ljust(8, "\0")
+                                 for x in span.tolist()).encode(), np.uint64)
+    seps = np.frombuffer(b"\0\0\0\0\0,\0\0\0\0\0\0\0\n\0\0", np.uint64)
+    i = np.arange(10_000)
+    sig4 = (4 - sum(i % 10 ** j == 0 for j in range(1, 5))).astype(np.int16)
+    cls = np.where(np.abs(span) >= 100, 15, 14)
+    cls[_X_SPAN - 4:_X_SPAN + 10] = range(14)
+    keys = (10 * cls + 5).astype(np.int16)
+    return pow10, four, last, zeros, exps, seps, sig4, keys
+
+
+def _fast_cells(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The cells of a 2-D float table, row by row, as `%.10g` writes them,
+    each followed by its separator (',' or, at a row's end, a newline), as a
+    (cells, _CELL) byte array left-justified and zero-padded; and a mask of
+    the cells written so.  The other cells' bytes are undefined."""
+    pow10, four, last, zeros, exps, seps, sig4, keys = _cell_tables()
+    x = table.ravel()
+    n = x.size
+    ax = np.abs(x)
+    exact = (ax >= FAST_RANGE[0]) & (ax <= FAST_RANGE[1])
+    ax[~exact] = 1.0
+    # floor(log10(2**e)) for |x| in [2**e, 2**(e+1)): X or X - 1
+    e10 = (((ax.view(np.int64) >> 52) - 1023) * 78913) >> 18
+    e10 += ax * pow10[_X_SPAN + 9 - e10] >= 1e10
+    y = ax * pow10[_X_SPAN + 9 - e10]
+    m = np.rint(y)
+    exact &= np.abs(y - np.floor(y) - 0.5) >= TIE_DELTA
+    carry = m == 1e10
+    e10 += carry
+    m[carry] = 1e9
+    # m = 10**6 hi + 100 mid + lo, and each exact quotient rounds to below
+    # the next integer, so floor() splits off the digit groups.
+    hi = np.floor(m / 1e6)
+    m -= hi * 1e6
+    mid = np.floor(m / 100)
+    lo = (m - mid * 100).astype(np.intp)
+    hi, mid = hi.astype(np.intp), mid.astype(np.intp)
+    src = np.empty((n, 24), np.uint8)
+    words = src.view(np.uint32)
+    words[:, 0] = four[hi]
+    words[:, 1] = four[mid]
+    words[:, 2] = last[lo]
+    words[:, 3] = zeros
+    ends = np.full(table.shape, seps[0])
+    ends[:, -1] = seps[1]
+    src.view(np.uint64)[:, 2] = exps[e10 + _X_SPAN] | ends.ravel()
+    key = keys[e10 + _X_SPAN] + sig4[lo]  # as if k = 6 + sig4[lo]: lo > 0
+    z = np.flatnonzero(lo == 0)
+    key[z] += np.where(mid[z] > 0, sig4[mid[z]] - 2, sig4[hi[z]] - 6)
+    key[x < 0] += 160
+    # Sort the cells by layout (a stable sort of int16 keys is a radix
+    # sort), copy each layout's runs as slices, unsort.
+    order = np.argsort(key, kind="stable")
+    src = src.view("V24").ravel()[order].view(np.uint8).reshape(n, 24)
+    cells = np.zeros((n, _CELL), np.uint8)
+    counts = np.bincount(key, minlength=_LAYOUTS).tolist()
+    end = 0
+    for layout, count in enumerate(counts):
+        start, end = end, end + count
+        for a, b, c, d in _layout_runs(layout) if count else ():
+            cells[start:end, a:b] = src[start:end, c:d]
+    out = np.empty_like(cells)
+    out.view(f"V{_CELL}").ravel()[order] = cells.view(f"V{_CELL}").ravel()
+    return out, exact
+
+
+def _float_table_texts(table: np.ndarray) -> List[str]:
+    """_csv_rows' texts of a 2-D float array, one per FLOAT_CHUNK_ROWS rows:
+    `_fast_cells`, with ``'%.10g' % x`` written over each cell it leaves."""
+    table = np.asarray(table, dtype=np.float64)
+    ncol = table.shape[1]
+    texts = []
+    for start in range(0, len(table), FLOAT_CHUNK_ROWS):
+        chunk = table[start:start + FLOAT_CHUNK_ROWS]
+        cells, exact = _fast_cells(chunk)
+        left = np.flatnonzero(~exact)
+        if left.size:
+            cells[left] = np.frombuffer(b"".join(
+                ("%.10g%s" % (x, "\n" if i % ncol == ncol - 1 else ","))
+                .encode().ljust(_CELL, b"\0")
+                for i, x in zip(left.tolist(), chunk.ravel()[left].tolist())
+            ), np.uint8).reshape(-1, _CELL)
+        texts.append(cells.tobytes().translate(None, b"\0")[:-1].decode())
     return texts
 
 
@@ -392,7 +541,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, FloatingPointError, ValueError) as exc:
+    except (QuadratureError, ArithmeticError, ValueError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except IOError as exc:

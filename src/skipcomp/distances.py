@@ -28,13 +28,24 @@ def _check_nonneg(*values) -> None:
             raise ValueError(f"distances must be >= 0, got {np.min(v)}")
 
 
+def _finite_scale(scale: float, what: str, lam: float) -> float:
+    if not math.isfinite(scale):
+        raise FloatingPointError(f"{what} overflows at intensity {lam}")
+    return scale
+
+
 def joint_pdf_r123(x, y, z, lam: float):
-    """Joint density of the three ordered nearest-BS distances, km^-3."""
+    """Joint density of the three ordered nearest-BS distances, km^-3:
+    (2a)^3 xyz e^(-a z^2) = 8 a^(3/2) (v1 v2 v3)^(1/2) e^(-v3), v = a r^2.
+    FloatingPointError where a^(3/2) overflows (lambda above ~1e204)."""
     _check_lambda(lam)
     _check_nonneg(x, y, z)
     a = math.pi * lam
-    return np.where((x <= y) & (y <= z),
-                    (2.0 * a) ** 3 * x * y * z * np.exp(-a * z * z), 0.0)[()]
+    scale = _finite_scale(8.0 * a * math.sqrt(a), "joint density of r1-r3",
+                          lam)
+    v3 = a * z * z
+    return np.where((x <= y) & (y <= z), scale * (
+        np.sqrt(a * x * x * (a * y * y) * v3) * np.exp(-v3)), 0.0)[()]
 
 
 def marginal_pdf_r1(r, lam: float):
@@ -46,19 +57,26 @@ def marginal_pdf_r1(r, lam: float):
 
 
 def marginal_pdf_r2(y, lam: float):
-    """Density of the second-nearest-BS distance."""
+    """Density of the second-nearest-BS distance: 2a^2 y^3 e^(-a y^2) =
+    2 a^(1/2) v^(3/2) e^(-v), v = a y^2."""
     _check_lambda(lam)
     _check_nonneg(y)
     a = math.pi * lam
-    return 2.0 * a ** 2 * y ** 3 * np.exp(-a * y * y)
+    v = a * y * y
+    return 2.0 * math.sqrt(a) * (v * np.sqrt(v) * np.exp(-v))
 
 
 def joint_pdf_r2_r3(y, z, lam: float):
-    """Joint density of the second and third nearest-BS distances."""
+    """Joint density of the second and third nearest-BS distances:
+    4a^3 y^3 z e^(-a z^2) = 4a v2^(3/2) v3^(1/2) e^(-v3), v = a r^2.
+    FloatingPointError where 4a overflows (lambda above ~1e307)."""
     _check_lambda(lam)
     _check_nonneg(y, z)
     a = math.pi * lam
-    return np.where(y <= z, 4.0 * a ** 3 * y ** 3 * z * np.exp(-a * z * z), 0.0)[()]
+    scale = _finite_scale(4.0 * a, "joint density of r2, r3", lam)
+    v2, v3 = a * y * y, a * z * z
+    return np.where(y <= z, scale * (
+        v2 * np.sqrt(v2 * v3) * np.exp(-v3)), 0.0)[()]
 
 
 def conditional_pdf_r1_given_r2(x, r2):

@@ -11,9 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import skipcomp
-from skipcomp import checks, coverage, montecarlo, throughput
+from skipcomp import checks, cli, coverage, montecarlo, throughput
 from skipcomp.cli import (
     CONFIG_TABLE,
     EXIT_CONFIG,
@@ -447,6 +449,98 @@ def test_csv_rows_of_tiny_tables(rows):
     assert csv_text(rows) == per_cell_csv_text(list(rows))
 
 
+def both_signs(cells):
+    cells = np.asarray(cells, dtype=float)
+    return np.concatenate([cells, -cells])
+
+
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-20, 20)])
+LAYOUT_SWITCHES = np.array([9999999999.5, 0.00099999999995, 999999999.95,
+                            0.0001, 99999999995.0, 9.9999999995e-5])
+FLOAT_TABLE_CASES = {
+    # exact ties at the 11th significant digit, and their neighbours
+    "ties": both_signs(np.concatenate([
+        np.arange(4000) + 0.5, 1e9 + np.arange(4000) + 0.5,
+        12345678905.0 + np.arange(4000), 1.5 * 2.0 ** -np.arange(1, 60)])),
+    "nextafter": both_signs(np.concatenate([
+        POWERS_OF_TEN, np.nextafter(POWERS_OF_TEN, 0.0),
+        np.nextafter(POWERS_OF_TEN, np.inf)])),
+    "layout-switches": both_signs(np.concatenate([
+        LAYOUT_SWITCHES, np.nextafter(LAYOUT_SWITCHES, 0.0),
+        np.nextafter(LAYOUT_SWITCHES, np.inf)])),
+    "3-digit-exponents": both_signs(
+        np.random.default_rng(4).uniform(1.0, 10.0, 4000)
+        * 10.0 ** np.repeat([-300, -290, -200, -101, -100, 100, 101, 200, 289,
+                             300], 400)),
+    "range-ends": both_signs([1e-290, 1e290, 9.99999999949e289, 1e-291,
+                              1.0000000005e-290, 2.2250738585072014e-308,
+                              5e-324, 1.7976931348623157e308, 0.0]),
+}
+
+
+@pytest.mark.parametrize("cells", FLOAT_TABLE_CASES.values(),
+                         ids=FLOAT_TABLE_CASES.keys())
+@pytest.mark.parametrize("ncol", [1, 8])
+def test_float_table_matches_per_cell_formatting(cells, ncol):
+    """The numpy kernel writes a float array's cells as `%.10g` does, also
+    at and beside every rounding tie and layout switch; 0, -0 and the
+    doubles outside its range go to `%` itself."""
+    table = cells[:len(cells) // ncol * ncol].reshape(-1, ncol)
+    assert csv_text(table) == per_cell_csv_text(table.tolist())
+
+
+@pytest.mark.parametrize("n", [1, cli.FLOAT_CHUNK_ROWS - 1, cli.FLOAT_CHUNK_ROWS,
+                               cli.FLOAT_CHUNK_ROWS + 1,
+                               2 * cli.FLOAT_CHUNK_ROWS + 3])
+def test_float_table_of_rows_beyond_a_chunk(n):
+    g = np.random.default_rng(n)
+    table = g.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** g.integers(-12, 13, (n, 3))
+    assert csv_text(table) == per_cell_csv_text(table.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+              elements=st.floats()))
+def test_float_table_of_any_doubles_matches_per_cell_formatting(table):
+    assert csv_text(table) == per_cell_csv_text(table.tolist())
+
+
+def distance_table(monkeypatch, argv):
+    """The array a distance run hands to _write, and its output file."""
+    tables = []
+
+    def record(path, fmt, config, columns, rows):
+        tables.append(rows)
+        _write(path, fmt, config, columns, rows)
+
+    monkeypatch.setattr(cli, "_write", record)
+    assert run(["distance", *argv]) == EXIT_OK
+    return tables[0]
+
+
+def test_max_rows_distance_dump_matches_per_cell_formatting(tmp_path,
+                                                            monkeypatch):
+    out = tmp_path / "d.csv"
+    table = distance_table(monkeypatch, ["--trials", str(MAX_ROWS), "--seed",
+                                         "3", "--out", str(out)])
+    lines = out.read_text().splitlines(keepends=True)
+    assert len(lines) == 3 + MAX_ROWS
+    assert "".join(lines[3:]) == per_cell_csv_text(table.tolist())
+
+
+@pytest.mark.parametrize("lam", ["10", "70"])
+def test_float_kernel_leaves_few_distance_cells_to_percent(tmp_path,
+                                                          monkeypatch, lam):
+    """At most 1% of a 10k-row distance table's cells take the `%` fallback
+    (about 2 * TIE_DELTA of them lie near a tie): a kernel that sent every
+    cell there would be right, and no faster."""
+    table = distance_table(monkeypatch, ["--lambda", lam, "--trials", "10000",
+                                         "--out", str(tmp_path / "d.csv")])
+    _, exact = cli._fast_cells(table)
+    assert exact.size == 80_000
+    assert exact.mean() >= 0.99
+
+
 def test_json_rows_of_an_array_are_its_list(tmp_path):
     table = np.random.default_rng(2).uniform(0.0, 1.0, (3, 8))
     paths = tmp_path / "array.json", tmp_path / "list.json"
@@ -466,6 +560,36 @@ def test_distance_dump(tmp_path, config_file):
     r = rows[0]
     assert float(r[0]) <= float(r[1]) <= float(r[2])
     assert float(r[3]) > 0  # joint pdf positive at its own draw
+
+
+@pytest.mark.parametrize("lam", ["1e102", "1e-160", "1e-300"])
+def test_distance_at_extreme_lambda_prints_no_nan(tmp_path, lam):
+    out = tmp_path / "d.csv"
+    assert run(["distance", "--lambda", lam, "--trials", "200", "--out",
+                str(out)]) == EXIT_OK
+    _, _, rows = read_rows(out)
+    cells = np.array(rows, dtype=float)
+    assert cells.shape == (200, 8)
+    assert not np.isnan(cells).any()
+    assert (cells[:, 4:] > 0).all()  # all but the (r1, r2, r3) joint density
+
+
+def test_distance_where_the_joint_density_overflows_exits_3(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert run(["distance", "--lambda", "1e300", "--trials", "2", "--out",
+                str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_arithmetic_error_inside_the_computation_exits_3(monkeypatch, capsys):
+    def overflowing(*args, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(cli, "cmd_distance", overflowing)
+    assert run(["distance", "--trials", "2"]) == EXIT_NUMERIC
+    assert "numerical failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

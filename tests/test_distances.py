@@ -91,6 +91,57 @@ def test_array_densities_match_scalar_calls():
         conditional_pdf_r1_given_r2(x, np.zeros_like(y))
 
 
+def log_space(*terms):
+    """exp of the exact sum of each element's log terms; nan below 1e-300."""
+    logs = np.array([math.fsum(t) for t in zip(*np.broadcast_arrays(*terms))])
+    return np.where(logs >= math.log(1e-300), np.exp(logs), np.nan)
+
+
+@pytest.mark.parametrize("lam", [1e102, 1e-160, 1e-300, 70.0])
+def test_densities_match_log_space_reference_at_any_lambda(lam):
+    """Each density at its own draws is within 1e-12 of its log-space value
+    wherever that is at least 1e-300, and never nan, even where a^3 or a^-3
+    leaves the doubles."""
+    x, y, z = sample_ordered_distances_array(lam, rng(11), 2000).T
+    a, log = math.pi * lam, np.log
+    cases = {
+        "joint123": (joint_pdf_r123(x, y, z, lam),
+                     log_space(log(8.0 * a), log(a), log(a), log(x), log(y),
+                               log(z), -a * z * z)),
+        "r1": (marginal_pdf_r1(x, lam), log_space(log(2.0 * a), log(x),
+                                                  -a * x * x)),
+        "r2": (marginal_pdf_r2(y, lam),
+               log_space(log(2.0 * a), log(a), 3.0 * log(y), -a * y * y)),
+        "joint23": (joint_pdf_r2_r3(y, z, lam),
+                    log_space(log(4.0 * a), log(a), log(a), 3.0 * log(y),
+                              log(z), -a * z * z)),
+        "cond": (conditional_pdf_r1_given_r2(x, y),
+                 log_space(log(2.0), log(x), -2.0 * log(y))),
+    }
+    for name, (got, reference) in cases.items():
+        assert not np.isnan(got).any(), name
+        kept = ~np.isnan(reference)
+        assert kept.any() or name == "joint123", name  # a^1.5 ~ 5e-450 there
+        assert (got[~kept] < 1.000001e-300).all(), name
+        np.testing.assert_allclose(got[kept], reference[kept], rtol=1e-12,
+                                   atol=0.0, err_msg=name)
+
+
+@pytest.mark.parametrize("pdf, lam", [
+    (lambda r, lam: joint_pdf_r123(*r, lam), 1e205),
+    (lambda r, lam: joint_pdf_r2_r3(*r[1:], lam), 1e308),
+], ids=["joint123", "joint23"])
+def test_joint_density_beyond_the_doubles_raises(pdf, lam):
+    """(2a)^3 and 4a^3 overflow far below these intensities; the densities
+    themselves only here."""
+    def at(lam):
+        return pdf(np.sqrt(np.array([0.5, 1.0, 1.5]) / (math.pi * lam)), lam)
+
+    with pytest.raises(FloatingPointError):
+        at(lam)
+    assert 0.0 < at(lam / 1e3) < math.inf
+
+
 # --------------------------------------------------------------------------
 # Normalizations
 # --------------------------------------------------------------------------
