@@ -98,6 +98,10 @@ def sample_ordered_v(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
 def sample_ordered_distances_array(
     lam: float, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """`size` exact (r1, r2, r3) triples in km, shape (size, 3), from v."""
+    """`size` exact (r1, r2, r3) triples in km, shape (size, 3), from v.
+    FloatingPointError where 1/(pi*lambda) or a squared distance overflows
+    (lambda below ~1e-307)."""
     _check_lambda(lam)
-    return np.sqrt(sample_ordered_v(rng, size, 3) * (1.0 / (math.pi * lam)))
+    scale = _finite_scale(1.0 / (math.pi * lam), "squared-distance scale", lam)
+    with np.errstate(over="raise"):
+        return np.sqrt(sample_ordered_v(rng, size, 3) * scale)

@@ -67,7 +67,10 @@ as read-only arrays up to DRAW_MEMO_BYTES (4 MiB, 12 batches of 2,000);
 later batches are drawn and not kept, and a new (seed, batch_size) drops the
 old ones.  The budget bounds the memory a process keeps: a whole 100k-trial
 run would hold 16.8 MB, and a lone non-coherent run draws each batch once
-whatever the budget.
+whatever the budget.  ``_conditional_coverage`` keeps the read-only (mean,
+CI) of the process's last 32 conditional runs, keyed by (scheme, params,
+sim, thresholds in dB), so a coherent run takes its non-coherent floor from
+the non-coherent run before it instead of evaluating it again.
 
 ``simulate`` and ``empirical_spectral_efficiencies`` run batches on up to one
 thread per usable CPU, and the conditional coverage on the calling thread:
@@ -88,6 +91,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import islice, starmap
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
@@ -363,25 +367,35 @@ def _mean_and_ci(batches: Iterator[np.ndarray], n: int,
     return mean, 1.96 * np.sqrt(var / n)
 
 
+@lru_cache(maxsize=32)
+def _conditional_coverage(scheme: SchemeSpec, params: NetworkParams,
+                          sim: SimulationSpec, thresholds_db: Tuple[float, ...]
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """The read-only (mean, CI) of ``_mean_and_ci`` over the run's
+    ``conditional_batches``, kept for the process's last 32 runs, so that a
+    coherent run reads the non-coherent run before it on the same draws."""
+    t = np.array([db_to_linear(t_db) for t_db in thresholds_db])
+    out = _mean_and_ci(conditional_batches(scheme, params, sim, t),
+                       sim.trials, probabilities=True)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def empirical_coverage(scheme: SchemeSpec, params: NetworkParams,
                        sim: SimulationSpec,
                        thresholds_db: Sequence[float]) -> CoverageCurve:
     """The MC coverage curve ``coverage --mode mc`` prints: the mean
-    conditional coverage with 95% CI half-widths (``_mean_and_ci``).  A
-    coherent value is the greater of it and the non-coherent mean on the same
-    geometry, which coherent joint transmission never covers less than."""
-    t = np.array([db_to_linear(t_db) for t_db in thresholds_db])
-    mean, ci = _mean_and_ci(conditional_batches(scheme, params, sim, t),
-                            sim.trials, probabilities=True)
+    conditional coverage with 95% CI half-widths (``_conditional_coverage``).
+    A coherent value is the greater of it and the non-coherent mean on the
+    same geometry, which coherent joint transmission never covers less than."""
+    key = tuple(thresholds_db)
+    mean, ci = _conditional_coverage(scheme, params, sim, key)
     if scheme.coherent:
         base = replace(scheme, coherent=False)
-        mean = np.maximum(mean, _mean_and_ci(
-            conditional_batches(base, params, sim, t), sim.trials,
-            probabilities=True)[0])
-    return CoverageCurve(
-        thresholds_db=tuple(thresholds_db), values=tuple(mean.tolist()),
-        ci_halfwidths=tuple(ci.tolist()),
-    )
+        mean = np.maximum(mean, _conditional_coverage(base, params, sim, key)[0])
+    return CoverageCurve(thresholds_db=key, values=tuple(mean.tolist()),
+                         ci_halfwidths=tuple(ci.tolist()))
 
 
 def empirical_spectral_efficiencies(params: NetworkParams, sim: SimulationSpec

@@ -11,9 +11,10 @@ ACCEPT_SEED = 20240817
 
 @pytest.fixture(autouse=True)
 def fresh_draw_memo():
-    """Each test starts with no conditional draws kept from an earlier one, so
-    a test that counts or replays draws sees them made."""
+    """Each test starts with no conditional draws or results kept from an
+    earlier one, so a test that counts or replays draws sees them made."""
     montecarlo._DRAW_MEMO.clear()
+    montecarlo._conditional_coverage.cache_clear()
 
 
 @pytest.fixture(scope="session")

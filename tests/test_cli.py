@@ -148,6 +148,34 @@ def test_coherent_mc_never_below_non_coherent(tmp_path, eta, ic):
         assert all(b <= a for a, b in zip(mc[True], mc[True][1:])), seed
 
 
+@pytest.mark.parametrize("ic", [[], ["--ic"]], ids=["no-ic", "ic"])
+def test_coherent_job_after_its_non_coherent_job(tmp_path, monkeypatch, ic):
+    """As in make_coverage_curves.py: a coherent job that follows its
+    non-coherent job on the same seed writes the bytes of a coherent job run
+    from empty memos, and evaluates the coherent variant alone."""
+    argv = ["coverage", "--scheme", "skip-comp", *ic, "--trials", "5000",
+            "--seed", "41", "--tstep-db", "5"]
+    coherent = argv + ["--coherent", "--mode", "mc"]
+    assert run(coherent + ["--out", str(tmp_path / "alone.csv")]) == EXIT_OK
+    montecarlo._DRAW_MEMO.clear()
+    montecarlo._conditional_coverage.cache_clear()
+    assert run(argv + ["--mode", "both", "--out", str(tmp_path / "nc.csv")]) \
+        == EXIT_OK
+    evaluated = []
+    unpatched = montecarlo.trial_coverage
+
+    def recorded(params, scheme, *args):
+        evaluated.append(scheme)
+        return unpatched(params, scheme, *args)
+
+    monkeypatch.setattr(montecarlo, "trial_coverage", recorded)
+    assert run(coherent + ["--out", str(tmp_path / "after.csv")]) == EXIT_OK
+    assert (tmp_path / "after.csv").read_bytes() \
+        == (tmp_path / "alone.csv").read_bytes()
+    assert len(evaluated) == 3  # one call per batch of 2,000 trials
+    assert all(s.coherent and s.ic == bool(ic) for s in evaluated)
+
+
 def conditional_gain_overflows(seed, eta, trials):
     """Whether a gain v^(-eta/2) of the K_COND nearest BSs of some trial of a
     one-batch conditional run overflows or turns subnormal."""
@@ -583,6 +611,19 @@ def test_distance_where_the_joint_density_overflows_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam, trials", [("1e-310", "3"), ("1e-308", "2000")])
+def test_distance_where_a_squared_distance_overflows_exits_3(tmp_path, capsys,
+                                                             lam, trials):
+    """1/(pi*lambda) is inf at 1e-310; at 1e-308 it is finite and some v times
+    it overflows.  Either exits 3 with no row and no RuntimeWarning."""
+    out = tmp_path / "d.csv"
+    assert run(["distance", "--lambda", lam, "--trials", trials, "--out",
+                str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "overflow" in err
+    assert not out.exists()
+
+
 def test_arithmetic_error_inside_the_computation_exits_3(monkeypatch, capsys):
     def overflowing(*args, **kwargs):
         raise OverflowError("(34, 'Numerical result out of range')")
@@ -937,22 +978,16 @@ def test_in_process_calls_share_one_parser_and_no_state(tmp_path, capsys):
         == {b"best"}
 
 
-@pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
-                    reason="the C library has no mallopt")
-def test_repeated_mc_job_does_not_page_fault(tmp_path):
-    """The third of three identical MC jobs in one process reuses the heap
-    the first two freed: glibc's dynamic thresholds alone give 600-750 minor
-    page faults a job, the policy main sets leaves almost none."""
+def minor_faults_per_call(argvs):
+    """The ru_minflt of each ``main(argv)`` call, one per argv of ``argvs``,
+    made one after another in a fresh interpreter."""
     script = f"""
 import resource
 from skipcomp.cli import main
-argv = ["coverage", "--scheme", "skip", "--mode", "mc", "--eta", "3.5",
-        "--trials", "2000", "--tmin-db", "-10", "--tmax-db", "20",
-        "--tstep-db", "2", "--out", {str(tmp_path / "x.csv")!r}]
-for _ in range(3):
+for argv in {argvs!r}:
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     assert main(argv) == 0
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
@@ -961,7 +996,36 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert int(proc.stdout) < 100
+    return [int(line) for line in proc.stdout.split()]
+
+
+@pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
+                    reason="the C library has no mallopt")
+def test_repeated_mc_job_does_not_page_fault(tmp_path):
+    """The third of three MC jobs in one process, each on its own seed so that
+    each computes, reuses the heap the first two freed: glibc's dynamic
+    thresholds alone give 600-750 minor page faults a job, the policy main
+    sets leaves almost none."""
+    argv = ["coverage", "--scheme", "skip", "--mode", "mc", "--eta", "3.5",
+            "--trials", "2000", "--tmin-db", "-10", "--tmax-db", "20",
+            "--tstep-db", "2", "--out", str(tmp_path / "x.csv")]
+    assert minor_faults_per_call(
+        [argv + ["--seed", str(seed)] for seed in (1, 2, 3)])[-1] < 100
+
+
+@pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
+                    reason="the C library has no mallopt")
+def test_repeated_table1_does_not_page_fault(tmp_path):
+    """table1's batch threads allocate from the main arena, whose freed heap
+    the process keeps, and its (5, 2000, 24) factors stay below the mmap
+    threshold, so a repeated call page-faults almost nowhere: 1,880-2,050
+    minor faults each with a fresh arena per thread and a 1 MiB mmap
+    threshold, 4-10 with the policy main sets.  How the two threads'
+    temporaries interleave still lifts the heap's top now and then (100-930
+    faults in ~15% of repeated calls), so the median repeat is judged."""
+    argv = ["table1", "--trials", "4000", "--out", str(tmp_path / "t.csv")]
+    repeats = minor_faults_per_call([argv] * 10)[1:]
+    assert sorted(repeats)[len(repeats) // 2] < 100, repeats
 
 
 def test_main_runs_where_libc_has_no_mallopt(tmp_path, monkeypatch):

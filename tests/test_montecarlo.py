@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,7 +88,9 @@ THREE_BATCHES = SimulationSpec(trials=5000, seed=123, batch_size=2000)
 
 
 def every_curve(spec):
-    """The conditional curves, values and CIs, of every variant."""
+    """The conditional curves, values and CIs, of every variant, computed
+    rather than read from the result memo."""
+    montecarlo._conditional_coverage.cache_clear()
     curves = [empirical_coverage(s, NET, spec, [-10.0, 0.0, 10.0, 20.0])
               for s in ANALYTIC_VARIANTS + COHERENT]
     return [(c.values, c.ci_halfwidths) for c in curves]
@@ -154,9 +157,15 @@ def count_draws(monkeypatch):
     return drawn
 
 
-def fresh(fn, *args):
-    """fn(*args) from an empty memo, as the first run of a process."""
+def forget_runs():
+    """Empty both memos a process keeps: the draws and the results."""
     montecarlo._DRAW_MEMO.clear()
+    montecarlo._conditional_coverage.cache_clear()
+
+
+def fresh(fn, *args):
+    """fn(*args) from empty memos, as the first run of a process."""
+    forget_runs()
     return fn(*args)
 
 
@@ -190,7 +199,7 @@ def test_kept_draws_give_every_estimate_of_a_fresh_run(workers, coherent_first,
         return fn(*args, THREE_BATCHES, *([grid] if fn is empirical_coverage else []))
 
     alone = {key: fresh(run, fn, args) for key, fn, args in estimates}
-    montecarlo._DRAW_MEMO.clear()
+    forget_runs()
     drawn = count_draws(monkeypatch)
     assert {key: run(fn, args) for key, fn, args in estimates} == alone
     assert drawn == [0, 1, 2]
@@ -201,9 +210,10 @@ def test_run_longer_than_the_budget_keeps_only_its_first_batches(monkeypatch):
     just those, and both equal a fresh run."""
     sim = SimulationSpec(trials=31_000, seed=8, batch_size=2000)
     alone = fresh(empirical_coverage, COOP, NET, sim, [0.0, 10.0])
-    montecarlo._DRAW_MEMO.clear()
+    forget_runs()
     drawn = count_draws(monkeypatch)
     for _ in range(2):
+        montecarlo._conditional_coverage.cache_clear()  # the draws, not the result
         assert empirical_coverage(COOP, NET, sim, [0.0, 10.0]) == alone
         assert memo_bytes() <= montecarlo.DRAW_MEMO_BYTES
     kept = len(montecarlo._DRAW_MEMO)
@@ -220,7 +230,7 @@ def test_shorter_run_reads_the_batches_it_shares(monkeypatch):
              for n in (3000, 4000)}
     alone = {n: fresh(empirical_coverage, COHERENT[0], NET, sim, [0.0, 10.0])
              for n, sim in short.items()}
-    montecarlo._DRAW_MEMO.clear()
+    forget_runs()
     empirical_coverage(COHERENT[0], NET, long_run, [0.0, 10.0])
     drawn = count_draws(monkeypatch)
     for n, sim in short.items():
@@ -255,6 +265,64 @@ def test_kept_draws_are_read_only():
     assert len(montecarlo._DRAW_MEMO) == 2
     for v, u in montecarlo._DRAW_MEMO.values():
         assert not (v.flags.writeable or u.flags.writeable)
+
+
+# --------------------------------------------------------------------------
+# Conditional results kept across runs
+# --------------------------------------------------------------------------
+
+def count_evaluations(monkeypatch):
+    """The scheme ids ``trial_coverage`` is called for from now on."""
+    evaluated = []
+    unpatched = montecarlo.trial_coverage
+
+    def recorded(params, scheme, *args):
+        evaluated.append(scheme.scheme_id)
+        return unpatched(params, scheme, *args)
+
+    monkeypatch.setattr(montecarlo, "trial_coverage", recorded)
+    return evaluated
+
+
+GRID = [-10.0, 0.0, 10.0, 20.0]
+
+
+#: A run and, per field of the memo's key, a run that differs in it alone.
+KEPT = (COOP, NetworkParams(lambda_bs=70.0, eta=3.5, noise_power=1e3),
+        THREE_BATCHES, GRID)
+ONE_FIELD_OFF = {
+    "variant": (COOP_IC, *KEPT[1:]),
+    "lambda": (COOP, replace(KEPT[1], lambda_bs=10.0), *KEPT[2:]),
+    "eta": (COOP, replace(KEPT[1], eta=4.0), *KEPT[2:]),
+    "noise": (COOP, replace(KEPT[1], noise_power=1e6), *KEPT[2:]),
+    "seed": (*KEPT[:2], replace(THREE_BATCHES, seed=124), GRID),
+    "trials": (*KEPT[:2], replace(THREE_BATCHES, trials=4000), GRID),
+    "batch_size": (*KEPT[:2], replace(THREE_BATCHES, batch_size=2500), GRID),
+    "thresholds": (*KEPT[:3], GRID[:-1] + [19.0]),
+}
+
+
+@pytest.mark.parametrize("field", ONE_FIELD_OFF)
+def test_run_that_differs_in_one_key_field_is_computed(field, monkeypatch):
+    """A run that differs from a kept one in one field evaluates its batches
+    and equals its run from empty memos; the kept run itself is read."""
+    args = ONE_FIELD_OFF[field]
+    alone = fresh(empirical_coverage, *args)
+    forget_runs()
+    kept = empirical_coverage(*KEPT)
+    evaluated = count_evaluations(monkeypatch)
+    assert empirical_coverage(*KEPT) == kept
+    assert evaluated == []
+    assert empirical_coverage(*args) == alone
+    assert evaluated == [args[0].scheme_id] * len(list(montecarlo._batches(args[2])))
+
+
+def test_kept_results_are_read_only():
+    mean, ci = montecarlo._conditional_coverage(COOP, NET, THREE_BATCHES,
+                                                tuple(GRID))
+    for a in (mean, ci):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
 
 
 def test_different_seeds_differ():
@@ -625,7 +693,7 @@ def test_conditional_batches_draw_only_the_nearest_distances(scheme, monkeypatch
     for a, b in zip(first_two, batches):
         assert np.array_equal(a, b)
     curve = empirical_coverage(scheme, net, sim, [-10.0, 0.0, 10.0])
-    assert curve == empirical_coverage(scheme, net, sim, [-10.0, 0.0, 10.0])
+    assert curve == fresh(empirical_coverage, scheme, net, sim, [-10.0, 0.0, 10.0])
     assert curve.values == pytest.approx(
         np.concatenate(batches, axis=1).mean(axis=1), rel=1e-12)
 
