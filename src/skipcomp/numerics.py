@@ -13,10 +13,12 @@ from two scale-free kernels, both numpy array expressions:
 
 Both hypergeometric functions are F(beta, x) = 2F1(1, beta; 1+beta; -x) =
 beta * int_0^1 t^(beta-1)/(1+xt) dt, at beta = 1 -+ 2/eta in (0, 2), and
-``hyp2f1_beta`` is the one numpy kernel of both: for x <= 1 the Pfaff series
-(DLMF 15.8.1) in x/(1+x), for x > 1 the 1/x connection formula (DLMF 15.8.2),
-its series in 1/(1+x) and its poles at integer beta cancelled in closed form;
-a fixed number of terms each, so every value depends on its own x alone.
+``hyp2f1_beta`` is the one numpy kernel of both: for x <= 1 a fixed convergent
+of Gauss's continued fraction (DLMF 15.7), a ratio of two degree-10
+polynomials with positive coefficients; for x > 1 the 1/x connection formula
+(DLMF 15.8.2), its poles at integer beta cancelled in closed form and its
+remaining series the same continued fraction at 1/x.  No value depends on any
+other, only on its own x.
 
 Both kernels have arctan closed forms at eta = 4; ``eta4_closed_form`` is the
 one place that picks them, at eta == 4.0 exactly, so every other eta takes the
@@ -47,18 +49,29 @@ def eta4_closed_form(eta: float) -> bool:
     return eta == 4.0
 
 
-PFAFF_MAX_X = 1.0  # hyp2f1_beta's branch edge, where x/(1+x) = 1/(1+x) = 1/2
-PFAFF_TERMS = 54  # terms up to the edge: truncation below 2^-54 relative
-CONNECTION_TERMS = 50  # terms beyond it: truncation below the rounding error
+PFAFF_MAX_X = 1.0  # hyp2f1_beta's branch edge: both branches run _gauss on [0, 1]
+GAUSS_CF_LEVELS = 20  # the convergent F = A/B: A and B of degree 10
 
 
 @lru_cache(maxsize=256)
-def _series(c: float, terms: int) -> Tuple[float, ...]:
-    """k!/(1+c)_k for k = terms-1 down to 0, the Horner order."""
-    coef = [1.0]
-    for k in range(1, terms):
-        coef.append(coef[-1] * k / (k + c))
-    return tuple(reversed(coef))
+def _gauss_cf(beta: float) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """The coefficients of A and B, highest degree first, where A/B is the
+    GAUSS_CF_LEVELS-th convergent of Gauss's continued fraction
+    F(beta, y) = 1/(1 + a1 y/(1 + a2 y/(1 + ...))), with
+    a_(2i+1) = (beta+i)^2/((beta+2i)(beta+2i+1)) and
+    a_(2i+2) = (i+1)^2/((beta+2i+1)(beta+2i+2)) (DLMF 15.7).  Every a_n is
+    positive, so every coefficient of A and B is a sum of positive products."""
+    # 1 + a1 y/(1 + a2 y/(1 + ...)) = B/A; both by P_n = P_(n-1) + a_n y P_(n-2).
+    deg = GAUSS_CF_LEVELS // 2
+    prev_num, num = [0.0] * (deg + 1), [1.0] + [0.0] * deg
+    prev_den, den = num, num
+    for n in range(1, GAUSS_CF_LEVELS + 1):
+        i = (n - 1) // 2
+        c = beta + n - 1
+        an = ((beta + i) ** 2 if n % 2 else (i + 1) ** 2) / (c * (c + 1.0))
+        prev_num, num = num, [p + an * q for p, q in zip(num, [0.0] + prev_num)]
+        prev_den, den = den, [p + an * q for p, q in zip(den, [0.0] + prev_den)]
+    return tuple(reversed(num)), tuple(reversed(den))
 
 
 def _horner(coef: Tuple[float, ...], w: np.ndarray) -> np.ndarray:
@@ -85,35 +98,42 @@ def _pole_factors(d: float) -> Tuple[float, float]:
     return y / sin, math.pi * y_minus_sin / (y * sin)
 
 
+def _gauss(beta: float, y: np.ndarray) -> np.ndarray:
+    """F(beta, y) for y in [0, 1]: A(y)/B(y) (``_gauss_cf``), within 6.4e-16
+    relative of mpmath."""
+    num, den = _gauss_cf(beta)
+    out = _horner(num, y)
+    out /= _horner(den, y)
+    return out
+
+
 def hyp2f1_beta(beta: float, x) -> np.ndarray:
     """F(beta, x) = 2F1(1, beta; 1+beta; -x) for 0 < beta <= 2 and finite x >= 0
     (an array), to ~1e-15 relative; each value depends on beta and its x alone.
 
-    x <= PFAFF_MAX_X: F = sum_k k!/(1+beta)_k w^k / (1+x), w = x/(1+x)
-    (Pfaff).  x > PFAFF_MAX_X, by the 1/x connection formula:
+    x <= PFAFF_MAX_X: F = A(x)/B(x), Gauss's continued fraction (``_gauss``).
+    x > PFAFF_MAX_X, by the 1/x connection formula:
     F = beta * (pi/sin(pi*beta) x^-beta - sum_n (-1)^n x^-(n+1)/(n+1-beta)).
     With m the integer nearest beta and d = beta - m, the n = m-1 term's pole
     at integer beta cancels the sine's: together they are (-1)^m x^-m times
     core = (g*expm1(-d ln x) + g - 1)/d, g = pi*d/sin(pi*d), which holds
     accuracy as beta -> 1 (eta -> inf) and beta -> 2 (eta -> 2).  The terms
-    from n = m on are (-1)^m x^-m * sum_k k!/(1+a)_k u^(k+1) / a, a = 1 - d,
-    u = 1/(1+x) (Pfaff again), all of one sign.
+    from n = m on are (-1)^m x^-m times
+    tail = sum_k (-1)^k x^-(k+1)/(k+a) = F(a, 1/x)/(a x), a = 1 - d in
+    [1/2, 3/2], so the same continued fraction serves both branches.
     """
     if not 0.0 < beta <= 2.0:
         raise ValueError(f"beta must be in (0, 2], got {beta}")
     x = np.asarray(x, dtype=float)
-    # The Pfaff series over every value, clipped to its branch, then the
-    # values beyond the edge replaced.
-    clipped = np.minimum(x, PFAFF_MAX_X)
-    r = 1.0 / (1.0 + clipped)
-    out = _horner(_series(beta, PFAFF_TERMS), clipped * r)
-    out *= r
+    # The continued fraction over every value, clipped to its branch, then
+    # the values beyond the edge replaced.
+    out = _gauss(beta, np.minimum(x, PFAFF_MAX_X))
     far = x > PFAFF_MAX_X
     xf = x[far]
     m = math.floor(beta + 0.5)
     d = beta - m
-    u = 1.0 / (1.0 + xf)
-    tail = _horner(_series(1.0 - d, CONNECTION_TERMS), u) * (u / (1.0 - d))
+    # Over a, then over x: a*x may overflow.
+    tail = _gauss(1.0 - d, 1.0 / xf) / (1.0 - d) / xf
     if m == 0:
         core = math.pi / math.sin(math.pi * beta) * np.power(xf, -beta)
     else:
