@@ -11,7 +11,8 @@ is the same at every lambda.
 Two estimators share that generator.
 
 * Conditional (every printed coverage cell, ``empirical_coverage``): a trial
-  draws only the K_COND = 20 nearest BSs and no fading.  Under Rayleigh
+  draws only the K_COND = 4 nearest BSs and no fading, the fewest that leave
+  every variant a BS beyond its serving and near BSs.  Under Rayleigh
   fading the coverage given the geometry is a product of Laplace transforms
   (Andrews, Baccelli and Ganti, 2011): L(s) = prod 1/(1 + s*g_i) over the
   interferers among BSs 1..K_COND, times exp(-v_K * agg_exponent(eta, s*g_K)),
@@ -63,24 +64,26 @@ property above a shorter run on the same (seed, batch_size) reads the first
 batches of a longer one.  ``_conditional_draws`` keys them by (seed,
 batch_size, b, n), n because a run's last batch may be partial and its U
 follows its own n gaps, and keeps the batches of the last (seed, batch_size)
-as read-only arrays up to DRAW_MEMO_BYTES (4 MiB, 12 batches of 2,000);
-later batches are drawn and not kept, and a new (seed, batch_size) drops the
-old ones.  The budget bounds the memory a process keeps: a whole 100k-trial
-run would hold 16.8 MB, and a lone non-coherent run draws each batch once
-whatever the budget.  ``_conditional_coverage`` keeps the read-only (mean,
-CI) of the process's last 32 conditional runs, keyed by (scheme, params,
-sim, thresholds in dB), so a coherent run takes its non-coherent floor from
-the non-coherent run before it instead of evaluating it again.
+as read-only arrays up to DRAW_MEMO_BYTES (4 MiB: 40 B a trial, 52 batches
+of 2,000); later batches are drawn and not kept, and a new (seed,
+batch_size) drops the old ones.  The budget bounds the memory a process
+keeps: a default 100k-trial run's draws take 4.0e6 B and fit it, and a lone
+non-coherent run draws each batch once whatever the budget.
+``_conditional_coverage`` keeps the read-only (mean, CI) of the process's
+last 32 conditional runs, keyed by (scheme, params, sim, thresholds in dB),
+so a coherent run takes its non-coherent floor from the non-coherent run
+before it instead of evaluating it again.
 
 ``simulate`` and ``empirical_spectral_efficiencies`` run batches on up to one
 thread per usable CPU, and the conditional coverage on the calling thread:
-its per-threshold ufuncs span ~38k values per batch, where two threads get
-1.2-1.4x one's throughput on 2 vCPUs (up to 1.75x at 608k), too little to pay
-for the pool (7 variants at 5k trials: 92 ms on one thread, 116 ms on two;
-table1's MC: 34 ms, 25 ms).  Conditional draws are read on the calling
-thread.  Batches are reduced in order, so the thread count changes no output.
-A gain that overflows or turns subnormal, as at eta in the hundreds, raises
-FloatingPointError in the batch that meets it.
+its per-threshold ufuncs span one or two far rows, ~4k values per batch,
+where two threads get 0.4x one's throughput on 2 vCPUs (1.7x at 608k), so
+the pool does not pay (7 variants at 5k trials: 51 ms on one thread, 71 ms
+on two).  table1's MC gains little from its pool (5k trials: 23 ms on one
+thread, 24 ms on two; 100k: 424 ms, 406 ms).  Conditional draws are read on
+the calling thread.  Batches are reduced in order, so the thread count
+changes no output.  A gain that overflows or turns subnormal, as at eta in
+the hundreds, raises FloatingPointError in the batch that meets it.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ from .model import (ANALYTIC_VARIANTS, VARIANTS, Association, NetworkParams,
                     SchemeSpec, db_to_linear)
 from .numerics import CHUNK_VALUES, agg_exponent, gauss_legendre
 
-K_COND = 20  # nearest BSs a conditional trial draws; the rest is the exact tail
+K_COND = 4  # nearest BSs a conditional trial draws; the rest is the exact tail
 K_RAW = 500  # nearest BSs a raw trial draws; the rest is ignored
 MC_SE_NODES = 24  # Gauss-Legendre nodes per half of a trial's SE integral
 
@@ -144,7 +147,7 @@ def _batches(spec: SimulationSpec) -> Iterator[Tuple[int, int]]:
         yield b, min(spec.batch_size, spec.trials - start)
 
 
-#: Bytes of conditional draws kept for later runs: 12 batches of 2,000.
+#: Bytes of conditional draws kept for later runs: 52 batches of 2,000.
 DRAW_MEMO_BYTES = 4 << 20
 #: (seed, batch_size, b, n) -> the read-only (v, U) of that batch, all of one
 #: (seed, batch_size); filled and emptied by ``_conditional_draws`` alone.
@@ -185,7 +188,7 @@ def _usable_cpus() -> int:
 def _map_batches(fn: Callable, batches: Iterator[tuple]) -> Iterator:
     """fn(*args) for each args of ``batches``, in order: the batches of
     ``simulate`` and ``empirical_spectral_efficiencies``, whose ufuncs overlap
-    on threads, not coverage's ~38k-value ones (module docstring).
+    on threads, not coverage's ~4k-value ones (module docstring).
 
     ``batches`` is read on the calling thread; the calls run on up to one
     thread per usable CPU, at most that many in flight, so a long run holds
@@ -341,7 +344,7 @@ def conditional_batches(scheme: SchemeSpec, params: NetworkParams,
                         sim: SimulationSpec,
                         thresholds: np.ndarray) -> Iterator[np.ndarray]:
     """``trial_coverage`` of each batch of the run, in order, on the calling
-    thread, as two threads do not overlap its ~38k-value ufuncs; only a
+    thread, as two threads do not overlap its ~4k-value ufuncs; only a
     coherent variant reads the batch's U."""
     return (trial_coverage(params, scheme, v, thresholds, u)
             for v, u in _conditional_draws(sim))

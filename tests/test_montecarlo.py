@@ -9,7 +9,8 @@ from skipcomp import montecarlo
 from skipcomp.checks import ETA4_REFERENCE, MC_K_CI
 from skipcomp.coverage import best_connected_closed_form, coverage_curve
 from skipcomp.distances import sample_ordered_v
-from skipcomp.model import ANALYTIC_VARIANTS, Association, NetworkParams, SchemeSpec
+from skipcomp.model import (ANALYTIC_VARIANTS, VARIANTS, Association, NetworkParams,
+                            SchemeSpec)
 from skipcomp.numerics import agg_exponent
 from skipcomp.montecarlo import (
     K_COND,
@@ -208,7 +209,9 @@ def test_kept_draws_give_every_estimate_of_a_fresh_run(workers, coherent_first,
 def test_run_longer_than_the_budget_keeps_only_its_first_batches(monkeypatch):
     """Batches past DRAW_MEMO_BYTES are drawn and not kept: a second run draws
     just those, and both equal a fresh run."""
-    sim = SimulationSpec(trials=31_000, seed=8, batch_size=2000)
+    fit = montecarlo.DRAW_MEMO_BYTES // ((K_COND + 1) * 8 * 2000)  # full batches
+    batches = fit + 4  # the last one of 1,000 trials
+    sim = SimulationSpec(trials=batches * 2000 - 1000, seed=8, batch_size=2000)
     alone = fresh(empirical_coverage, COOP, NET, sim, [0.0, 10.0])
     forget_runs()
     drawn = count_draws(monkeypatch)
@@ -216,9 +219,8 @@ def test_run_longer_than_the_budget_keeps_only_its_first_batches(monkeypatch):
         montecarlo._conditional_coverage.cache_clear()  # the draws, not the result
         assert empirical_coverage(COOP, NET, sim, [0.0, 10.0]) == alone
         assert memo_bytes() <= montecarlo.DRAW_MEMO_BYTES
-    kept = len(montecarlo._DRAW_MEMO)
-    assert kept == montecarlo.DRAW_MEMO_BYTES // ((K_COND + 1) * 8 * 2000) == 12
-    assert drawn == list(range(16)) + list(range(kept, 16))
+    assert len(montecarlo._DRAW_MEMO) == fit
+    assert drawn == list(range(batches)) + list(range(fit, batches))
 
 
 def test_shorter_run_reads_the_batches_it_shares(monkeypatch):
@@ -701,7 +703,7 @@ def test_conditional_batches_draw_only_the_nearest_distances(scheme, monkeypatch
 @pytest.mark.parametrize("scheme", [COOP, COOP_IC], ids=lambda s: s.scheme_id)
 def test_conditional_cooperative_is_unbiased_at_eta_2_5(scheme):
     """At eta = 2.5 the raw K = 500 skip-comp reads ~0.06 high at -10 dB; the
-    conditional estimate keeps every BS beyond the 20th in its tail.
+    conditional estimate keeps every BS beyond the 4th in its tail.
 
     Above ~15 dB the per-trial probabilities are heavy-tailed and the printed
     1.96*sd/sqrt(n) understates the error, so the CI is floored at the
@@ -716,6 +718,32 @@ def test_conditional_cooperative_is_unbiased_at_eta_2_5(scheme):
     for a, m, ci in zip(analytic, mc.values, mc.ci_halfwidths):
         ci = max(ci, binomial_ci(max(a, m), sim.trials))
         assert abs(a - m) <= MC_K_CI * ci, (a, m, ci)
+
+
+@pytest.mark.parametrize("scheme", VARIANTS, ids=lambda s: s.scheme_id)
+def test_tail_beyond_the_conditioned_bss_is_exact(scheme):
+    """The PPP tail beyond the K-th BS is the mean over the BSs it stands
+    for.  For one geometry of the K_COND = 4 nearest BSs (and one U), the
+    mean ``trial_coverage`` of 20,000 continuations to BS 20, each v_4 plus
+    cumulative Exp(1) gaps, equals ``trial_coverage`` of BSs 1-4 alone within
+    5 SE, at eta 2.5, 4 and 6, noise-free and at 1e3 W, from -10 to 30 dB.
+    BSs 1-3 lie well inside BS 4, so no cell rests on rare continuations,
+    whose mean 20,000 draws cannot resolve."""
+    near = np.array([[0.01, 0.03, 0.05, 0.2]])
+    far = near[0, -1] + np.cumsum(rng(5).standard_exponential((20_000, 16)), axis=1)
+    v = np.hstack([np.repeat(near, len(far), axis=0), far])
+    t = 10.0 ** (np.arange(-10.0, 31.0, 5.0) / 10.0)
+    u = np.full(len(v), 0.3) if scheme.coherent else None
+    for eta in (2.5, 4.0, 6.0):
+        for noise in (0.0, 1e3):
+            net = NetworkParams(lambda_bs=70.0, eta=eta, noise_power=noise)
+            exact = trial_coverage(net, scheme, near, t,
+                                   None if u is None else u[:1])[:, 0]
+            p = trial_coverage(net, scheme, v, t, u)
+            se = p.std(axis=1, ddof=1) / math.sqrt(p.shape[1])
+            # 1e-12 relative: the rounding of a cell near 1, whose SE is ~0.
+            assert np.all(np.abs(p.mean(axis=1) - exact)
+                          <= 5.0 * se + 1e-12 * exact), (eta, noise, exact)
 
 
 # --------------------------------------------------------------------------
@@ -739,12 +767,14 @@ def test_tail_slope_identity():
 
 @pytest.mark.parametrize("scheme", COHERENT, ids=lambda s: s.scheme_id)
 def test_coherent_trial_coverage_matches_brute_force_fading(scheme):
-    """One geometry, its K-th BS so far (v_K = 1e12) that it and the PPP
-    beyond it shift the coverage by < 1e-8: the mean of ``trial_coverage``
-    over U on 4,000 midpoints against the share of 1e6 fading draws whose
-    coherent SINR (|h_2| + |h_3|)^2 / (I + nu) exceeds T, within 5 SE."""
+    """One geometry of 20 BSs, the 20th so far (v_20 = 1e12) that it and the
+    PPP beyond it shift the coverage by < 1e-8, so BSs 4-19 interfere under
+    either IC: the mean of ``trial_coverage``, which takes any number of
+    nearest BSs, over U on 4,000 midpoints against the share of 1e6 fading
+    draws whose coherent SINR (|h_2| + |h_3|)^2 / (I + nu) exceeds T,
+    within 5 SE."""
     net = NetworkParams(lambda_bs=70.0, eta=3.5, noise_power=1e3)
-    v = sample_ordered_v(rng(21), 1, K_COND)[0]
+    v = sample_ordered_v(rng(21), 1, 20)[0]
     v[-1] = 1e12
     t = np.array([0.1, 0.3, 1.0])
     u = (np.arange(4000) + 0.5) / 4000
