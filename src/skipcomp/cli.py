@@ -427,9 +427,12 @@ def cmd_throughput(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_distance(args: argparse.Namespace, config: RunConfig) -> int:
     lam = config.network.lambda_bs
+    if config.simulation.trials > MAX_ROWS:
+        raise ConfigError(f"distance table has {config.simulation.trials} "
+                          f"rows, more than {MAX_ROWS}")
     draws = distances.sample_ordered_distances_array(
         lam, montecarlo._batch_rng(config.simulation.seed, 0),
-        min(config.simulation.trials, MAX_ROWS))
+        config.simulation.trials)
     r1, r2, r3 = draws.T
     rows = np.column_stack([
         draws,
@@ -522,15 +525,13 @@ def keep_freed_heap() -> bool:
     2.7 MiB, so each job would return them to the OS and page-fault them back
     in.  Setting either threshold freezes glibc's dynamic adjustment of both,
     so both are set.  table1's (5, 2000, 24) spectral-efficiency factors
-    (1.83 MiB) stay on the heap below the 4 MiB mmap threshold, and its batch
-    threads allocate from the main arena, whose freed heap is kept, instead
-    of a fresh arena each.  False, doing nothing, where libc has no mallopt."""
+    (1.83 MiB) stay on the heap below the 4 MiB mmap threshold.  False, doing
+    nothing, where libc has no mallopt."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
         return False
     mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD: keep up to 32 MiB freed
     mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: blocks below 4 MiB on the heap
-    mallopt(-8, 1)  # M_ARENA_MAX: every thread on the main arena
     return True
 
 

@@ -74,29 +74,20 @@ last 32 conditional runs, keyed by (scheme, params, sim, thresholds in dB),
 so a coherent run takes its non-coherent floor from the non-coherent run
 before it instead of evaluating it again.
 
-``simulate`` and ``empirical_spectral_efficiencies`` run batches on up to one
-thread per usable CPU, and the conditional coverage on the calling thread:
-its per-threshold ufuncs span one or two far rows, ~4k values per batch,
-where two threads get 0.4x one's throughput on 2 vCPUs (1.7x at 608k), so
-the pool does not pay (7 variants at 5k trials: 51 ms on one thread, 71 ms
-on two).  table1's MC gains little from its pool (5k trials: 23 ms on one
-thread, 24 ms on two; 100k: 424 ms, 406 ms).  Conditional draws are read on
-the calling thread.  Batches are reduced in order, so the thread count
-changes no output.  A gain that overflows or turns subnormal, as at eta in
-the hundreds, raises FloatingPointError in the batch that meets it.
+Every estimator runs its batches on the calling thread and reduces them in
+order: two threads gained nothing on 2 vCPUs (table1's MC at 5k trials: 23
+ms on one, 24 ms on two; the seven coverage variants: 51 ms, 71 ms) and
+their interleaved temporaries lifted the heap's top.  A gain that overflows
+or turns subnormal, as at eta in the hundreds, raises FloatingPointError in
+the batch that meets it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import islice, starmap
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,7 +143,6 @@ DRAW_MEMO_BYTES = 4 << 20
 #: (seed, batch_size, b, n) -> the read-only (v, U) of that batch, all of one
 #: (seed, batch_size); filled and emptied by ``_conditional_draws`` alone.
 _DRAW_MEMO: Dict[Tuple[int, int, int, int], Tuple[np.ndarray, np.ndarray]] = {}
-_DRAW_MEMO_LOCK = threading.Lock()
 
 
 def _conditional_draws(sim: SimulationSpec
@@ -169,45 +159,12 @@ def _conditional_draws(sim: SimulationSpec
             draws = sample_ordered_v(rng, n, K_COND), rng.random(n)
             for a in draws:
                 a.flags.writeable = False
-            with _DRAW_MEMO_LOCK:
-                if any(k[:2] != key[:2] for k in _DRAW_MEMO):
-                    _DRAW_MEMO.clear()
-                held = sum(a.nbytes for kept in _DRAW_MEMO.values() for a in kept)
-                if held + sum(a.nbytes for a in draws) <= DRAW_MEMO_BYTES:
-                    _DRAW_MEMO[key] = draws
+            if any(k[:2] != key[:2] for k in _DRAW_MEMO):
+                _DRAW_MEMO.clear()
+            held = sum(a.nbytes for kept in _DRAW_MEMO.values() for a in kept)
+            if held + sum(a.nbytes for a in draws) <= DRAW_MEMO_BYTES:
+                _DRAW_MEMO[key] = draws
         yield draws
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _map_batches(fn: Callable, batches: Iterator[tuple]) -> Iterator:
-    """fn(*args) for each args of ``batches``, in order: the batches of
-    ``simulate`` and ``empirical_spectral_efficiencies``, whose ufuncs overlap
-    on threads, not coverage's ~4k-value ones (module docstring).
-
-    ``batches`` is read on the calling thread; the calls run on up to one
-    thread per usable CPU, at most that many in flight, so a long run holds
-    O(workers) batch results at once.  numpy keeps its error state per
-    thread, so ``fn`` sets any it needs itself.
-    """
-    head = list(islice(batches, _usable_cpus()))  # also bounds the workers
-    if len(head) <= 1:  # one batch or one CPU: the calling thread runs them
-        if head:
-            yield fn(*head.pop())
-        yield from starmap(fn, batches)
-        return
-    with ThreadPoolExecutor(len(head)) as pool:
-        pending = deque(pool.submit(fn, *args) for args in head)
-        del head  # the pending calls hold their arguments until they return
-        while pending:
-            result = pending.popleft().result()
-            pending.extend(pool.submit(fn, *args) for args in islice(batches, 1))
-            yield result
 
 
 #: Per association: the serving BSs (0-based, among the nearest) and the BS
@@ -259,9 +216,8 @@ def _batch_sinrs(params: NetworkParams, k: int, n: int,
 
 def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
     """Run the full raw simulation; one shared pass covers every scheme variant."""
-    batches = list(_map_batches(
-        lambda b, n: _batch_sinrs(params, K_RAW, n, _batch_rng(spec.seed, b)),
-        _batches(spec)))
+    batches = [_batch_sinrs(params, K_RAW, n, _batch_rng(spec.seed, b))
+               for b, n in _batches(spec)]
     return SimulationResult(
         sinr={s.scheme_id: np.concatenate([sinr[s.scheme_id] for sinr in batches])
               for s in VARIANTS},
@@ -300,6 +256,7 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
     far = max(*serving_bs, near_bs) + 1  # the first BS that always interferes
     n, k = v.shape
     mass = v[:, -1]  # mean BS count within r_K
+    neg_mass = -mass
     gain, nu = _gains(params, v)
     out = np.empty((len(thresholds), n))
     # A probability that underflows to 0 is exact.
@@ -312,7 +269,7 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
         # so that the product over them runs along contiguous rows.
         ratio = np.divide(gain[:, far:].T, serving, out=np.empty((k - far, n)))
         near = None if scheme.ic else gain[:, near_bs] / serving
-        noise = nu / serving
+        noise = nu / serving if nu else None  # None: no noise terms at nu = 0
         x = np.empty_like(ratio)
         block = max(1, CHUNK_VALUES // n)  # thresholds per tail-kernel call
         for i, t in enumerate(thresholds):
@@ -325,14 +282,20 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
             den = np.multiply.reduce(x, axis=0)
             if near is not None:  # the near BS is not cancelled
                 den *= 1.0 + t * near
-            out[i] = np.exp(-t * noise - mass * tail) / den
+            # exp(-t*nu/S - mass*tail)/den, written in place
+            np.multiply(neg_mass, tail, out=out[i])
+            if noise is not None:
+                out[i] -= t * noise
+            np.exp(out[i], out=out[i])
+            out[i] /= den
             if scheme.coherent:
                 # P(W > sJ) = E[(1 + sJ)e^(-sJ)], J = I + nu: the factor is
                 # 1 - s*dlnE[e^(-sJ)]/ds, y/(1 + y) = 1 - 1/x of each
                 # interferer and y*c'(y) = (2/eta)(c(y) + y/(1 + y)) of the
                 # tail, c = agg_exponent.  A zero probability stays 0.
                 x = np.reciprocal(x, out=x)
-                lead = 1.0 + t * noise + (k - far - x.sum(axis=0)) \
+                lead = (1.0 if noise is None else 1.0 + t * noise) \
+                    + (k - far - x.sum(axis=0)) \
                     + (2.0 / params.eta) * mass * (tail + 1.0 - x[-1])
                 if near is not None:
                     lead += 1.0 - 1.0 / (1.0 + t * near)
@@ -343,9 +306,8 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
 def conditional_batches(scheme: SchemeSpec, params: NetworkParams,
                         sim: SimulationSpec,
                         thresholds: np.ndarray) -> Iterator[np.ndarray]:
-    """``trial_coverage`` of each batch of the run, in order, on the calling
-    thread, as two threads do not overlap its ~4k-value ufuncs; only a
-    coherent variant reads the batch's U."""
+    """``trial_coverage`` of each batch of the run, in order; only a coherent
+    variant reads the batch's U."""
     return (trial_coverage(params, scheme, v, thresholds, u)
             for v, u in _conditional_draws(sim))
 
@@ -411,7 +373,7 @@ def empirical_spectral_efficiencies(params: NetworkParams, sim: SimulationSpec
     c/(1 + c)*(1 + t*g_3/g_2), and skip and skip-comp their IC forms' * r_1."""
     upper = throughput.se_upper(params.eta)
 
-    def batch(v: np.ndarray, _u: np.ndarray) -> np.ndarray:
+    def batch(v: np.ndarray) -> np.ndarray:
         gain, _ = _gains(params, v)
         lower = np.log(gain[:, 1]) - np.log(gain[:, 0])  # ln(g_2/g_1)
         g32 = (gain[:, 2] / gain[:, 1])[:, None]
@@ -422,12 +384,18 @@ def empirical_spectral_efficiencies(params: NetworkParams, sim: SimulationSpec
                 p = trial_coverage(params, ANALYTIC_VARIANTS[2], v, t.T).T
                 q = p / (1.0 + t)
                 r1 = 1.0 / (1.0 + np.exp(x - lower[:, None]))
-                coop = p * (1.0 - 1.0 / (1.0 + t * (1.0 + g32))) * (1.0 + t * g32)
-                return np.stack([q * (1.0 - r1), q * t * r1, q * t, coop * r1, coop])
+                f = np.empty((len(ANALYTIC_VARIANTS),) + p.shape)  # one per variant
+                np.multiply(q, 1.0 - r1, out=f[0])
+                np.multiply(q, t, out=f[2])
+                np.multiply(f[2], r1, out=f[1])
+                np.multiply(p * (1.0 - 1.0 / (1.0 + t * (1.0 + g32))),
+                            1.0 + t * g32, out=f[4])
+                np.multiply(f[4], r1, out=f[3])
+                return f
         return sum(gauss_legendre(integrand, lo, hi, MC_SE_NODES)
                    for lo, hi in ((lower - 40.0, 0.0), (0.0, upper)))
 
-    mean, ci = _mean_and_ci(_map_batches(batch, _conditional_draws(sim)),
+    mean, ci = _mean_and_ci((batch(v) for v, _ in _conditional_draws(sim)),
                             sim.trials, probabilities=False)
     return {s: (float(m), float(c)) for s, m, c in zip(ANALYTIC_VARIANTS, mean, ci)}
 

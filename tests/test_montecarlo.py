@@ -88,60 +88,6 @@ def test_simulate_deterministic_given_seed():
 THREE_BATCHES = SimulationSpec(trials=5000, seed=123, batch_size=2000)
 
 
-def every_curve(spec):
-    """The conditional curves, values and CIs, of every variant, computed
-    rather than read from the result memo."""
-    montecarlo._conditional_coverage.cache_clear()
-    curves = [empirical_coverage(s, NET, spec, [-10.0, 0.0, 10.0, 20.0])
-              for s in ANALYTIC_VARIANTS + COHERENT]
-    return [(c.values, c.ci_halfwidths) for c in curves]
-
-
-def every_estimate(spec):
-    """The raw SINRs, the conditional curves and table1's MC SEs of one run."""
-    return (simulate(NET, spec), every_curve(spec),
-            empirical_spectral_efficiencies(NET, spec))
-
-
-@pytest.mark.parametrize("workers", [None, 3], ids=["default", "3"])
-def test_threaded_batches_equal_serial_bit_for_bit(workers, monkeypatch):
-    if workers is not None:
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
-    threaded_raw, threaded_curves, threaded_se = every_estimate(THREE_BATCHES)
-
-    def no_pool(*args):
-        raise AssertionError("a one-CPU run opened a thread pool")
-
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
-    serial_raw, serial_curves, serial_se = every_estimate(THREE_BATCHES)
-    assert threaded_raw.sinr.keys() == serial_raw.sinr.keys()
-    for key, sinr in serial_raw.sinr.items():
-        assert np.array_equal(threaded_raw.sinr[key], sinr), key
-    assert threaded_curves == serial_curves
-    assert threaded_se == serial_se
-
-
-def test_coverage_batches_bypass_the_pool_table1_mc_uses_it(monkeypatch):
-    """With 3 CPUs and 3 batches, coverage of every variant runs its batches
-    on the calling thread, with the output of an unpatched run; table1's MC
-    spectral efficiency, whose batches overlap on threads, opens a pool."""
-    unpatched = every_curve(THREE_BATCHES)
-    pools = []
-
-    def no_pool(workers):
-        pools.append(workers)
-        raise RuntimeError("opened a thread pool")
-
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
-    assert every_curve(THREE_BATCHES) == unpatched
-    assert pools == []
-    with pytest.raises(RuntimeError, match="opened a thread pool"):
-        empirical_spectral_efficiencies(NET, THREE_BATCHES)
-    assert pools == [3]
-
-
 # --------------------------------------------------------------------------
 # Conditional draws kept across runs
 # --------------------------------------------------------------------------
@@ -186,13 +132,11 @@ ESTIMATES = (
 
 
 @pytest.mark.parametrize("coherent_first", [False, True], ids=["last", "first"])
-@pytest.mark.parametrize("workers", [1, 3])
-def test_kept_draws_give_every_estimate_of_a_fresh_run(workers, coherent_first,
+def test_kept_draws_give_every_estimate_of_a_fresh_run(coherent_first,
                                                        monkeypatch):
-    """table1's MC at 1 and 3 workers, the seven coverage variants and a
-    noisy regime, run one after another on one seed, equal each one run from
-    an empty memo bit for bit, and only the first run draws."""
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+    """table1's MC, the seven coverage variants and a noisy regime, run one
+    after another on one seed, equal each one run from an empty memo bit for
+    bit, and only the first run draws."""
     estimates = ESTIMATES[::-1] if coherent_first else ESTIMATES
     grid = [-10.0, 0.0, 10.0, 20.0]
 
@@ -605,6 +549,22 @@ def test_conditional_probability_underflows_to_zero_without_raising():
     v = sample_ordered_v(rng(4), 100, K_COND)
     for scheme in ANALYTIC_VARIANTS:
         assert (trial_coverage(net, scheme, v, np.array([1e300])) == 0.0).all()
+
+
+@pytest.mark.parametrize("scheme", VARIANTS, ids=lambda s: s.scheme_id)
+@pytest.mark.parametrize("eta", [2.5, 4.0])
+def test_noise_free_coverage_leaves_out_the_noise_term_bit_for_bit(eta, scheme):
+    """Without noise ``trial_coverage`` skips the noise products; at 1e-200 W
+    it computes them, nu nonzero but below the last bit of every term it
+    meets, so both give the same bits."""
+    v = sample_ordered_v(rng(6), 2000, K_COND)
+    u = rng(7).random(2000) if scheme.coherent else None
+    t = 10.0 ** (np.arange(-10.0, 31.0) / 10.0)
+    quiet, faint = (NetworkParams(lambda_bs=70.0, eta=eta, noise_power=noise)
+                    for noise in (0.0, 1e-200))
+    assert montecarlo._gains(quiet, v)[1] == 0.0 < montecarlo._gains(faint, v)[1]
+    assert np.array_equal(trial_coverage(quiet, scheme, v, t, u),
+                          trial_coverage(faint, scheme, v, t, u))
 
 
 @pytest.mark.parametrize("t_db", [-4000.0, 4000.0])
