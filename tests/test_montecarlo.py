@@ -131,23 +131,30 @@ ESTIMATES = (
 )
 
 
+#: A run of one ragged batch and one of three, the last ragged, on one seed.
+BATCHED_RUNS = {1: SimulationSpec(trials=1500, seed=123, batch_size=2000),
+                3: THREE_BATCHES}
+
+
 @pytest.mark.parametrize("coherent_first", [False, True], ids=["last", "first"])
-def test_kept_draws_give_every_estimate_of_a_fresh_run(coherent_first,
+@pytest.mark.parametrize("batches", [1, 3])
+def test_kept_draws_give_every_estimate_of_a_fresh_run(batches, coherent_first,
                                                        monkeypatch):
     """table1's MC, the seven coverage variants and a noisy regime, run one
-    after another on one seed, equal each one run from an empty memo bit for
-    bit, and only the first run draws."""
+    after another on one seed in 1 or 3 batches, equal each one run from an
+    empty memo bit for bit, and only the first run draws."""
+    sim = BATCHED_RUNS[batches]
     estimates = ESTIMATES[::-1] if coherent_first else ESTIMATES
     grid = [-10.0, 0.0, 10.0, 20.0]
 
     def run(fn, args):
-        return fn(*args, THREE_BATCHES, *([grid] if fn is empirical_coverage else []))
+        return fn(*args, sim, *([grid] if fn is empirical_coverage else []))
 
     alone = {key: fresh(run, fn, args) for key, fn, args in estimates}
     forget_runs()
     drawn = count_draws(monkeypatch)
     assert {key: run(fn, args) for key, fn, args in estimates} == alone
-    assert drawn == [0, 1, 2]
+    assert drawn == list(range(batches))
 
 
 def test_run_longer_than_the_budget_keeps_only_its_first_batches(monkeypatch):
