@@ -18,8 +18,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, compress, cycle, groupby
-from types import NoneType
 from typing import (Dict, List, Optional, Sequence, Tuple, Union,
                     get_type_hints)
 
@@ -159,31 +157,21 @@ def _write(path: Optional[str], fmt: str, config: RunConfig,
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def _csv_rows(rows: Union[Sequence[Sequence], np.ndarray]) -> List[str]:
-    """The rows' CSV lines, one text per run of rows, its lines joined by
-    newlines: a float cell in ``.10g``, None as an empty cell, anything else
-    as ``str()`` gives it.
+def _cell(value) -> str:
+    """A CSV cell: a float in ``%.10g``, None empty, anything else ``str()``."""
+    if isinstance(value, float):
+        return "%.10g" % value
+    return "" if value is None else str(value)
 
-    One ``%`` operation formats each run of consecutive rows that share a
-    sequence of cell types, over the run's cells flattened.  A 2-D float
-    array goes to `_float_table_texts`, which writes the same bytes.
-    """
+
+def _csv_rows(rows: Union[Sequence[Sequence], np.ndarray]) -> List[str]:
+    """The rows' CSV lines, each cell by ``_cell``.  A 2-D float array goes to
+    `_float_table_texts`, which writes the same bytes, many lines a text."""
     if isinstance(rows, np.ndarray):
         if rows.size:
             return _float_table_texts(rows)
         rows = rows.tolist()
-    runs = []
-    for types, run in groupby(rows, lambda row: tuple(map(type, row))):
-        run = list(run)
-        runs.append((types, len(run), chain.from_iterable(run)))
-    texts = []
-    for types, n, cells in runs:
-        fmt = ",".join("" if t is NoneType else "%.10g" if issubclass(t, float)
-                       else "%s" for t in types)
-        if NoneType in types:
-            cells = compress(cells, cycle([t is not NoneType for t in types]))
-        texts.append("\n".join([fmt] * n) % tuple(cells))
-    return texts
+    return [",".join(map(_cell, row)) for row in rows]
 
 
 # A float table's cells are formatted in numpy, FLOAT_CHUNK_ROWS rows at a
@@ -191,7 +179,7 @@ def _csv_rows(rows: Union[Sequence[Sequence], np.ndarray]) -> List[str]:
 # m = round(|x| * 10**(9 - X)), 10**9 <= m < 10**10; the one scaling errs by
 # under 3e-6 of m's last unit, so m is the correctly rounded one unless |x| *
 # 10**(9 - X) lies within TIE_DELTA of a half.  Such cells, and 0, -0, inf,
-# nan and the doubles outside FAST_RANGE, are left to ``'%.10g' % x``.
+# nan and the doubles outside FAST_RANGE, are left to ``_cell``.
 FLOAT_CHUNK_ROWS = 2048
 FAST_RANGE = (1e-290, 1e290)
 TIE_DELTA = 1e-3
@@ -317,7 +305,7 @@ def _fast_cells(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _float_table_texts(table: np.ndarray) -> List[str]:
     """_csv_rows' texts of a 2-D float array, one per FLOAT_CHUNK_ROWS rows:
-    `_fast_cells`, with ``'%.10g' % x`` written over each cell it leaves."""
+    `_fast_cells`, with ``_cell(x)`` written over each cell it leaves."""
     table = np.asarray(table, dtype=np.float64)
     ncol = table.shape[1]
     texts = []
@@ -327,7 +315,7 @@ def _float_table_texts(table: np.ndarray) -> List[str]:
         left = np.flatnonzero(~exact)
         if left.size:
             cells[left] = np.frombuffer(b"".join(
-                ("%.10g%s" % (x, "\n" if i % ncol == ncol - 1 else ","))
+                (_cell(x) + ("\n" if i % ncol == ncol - 1 else ","))
                 .encode().ljust(_CELL, b"\0")
                 for i, x in zip(left.tolist(), chunk.ravel()[left].tolist())
             ), np.uint8).reshape(-1, _CELL)

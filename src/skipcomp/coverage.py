@@ -29,7 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Association, NetworkParams, SchemeSpec, SinrThreshold
+from .model import (Association, NetworkParams, SchemeSpec, SinrThreshold,
+                    db_to_linear)
 from .numerics import agg_exponent, fixed_rule, gauss_legendre, nearest_lt
 
 U_NODES = 256  # Gauss-Legendre nodes over ln(r2/r3), for skip-comp,
@@ -192,7 +193,7 @@ def coverage(scheme: SchemeSpec, params: NetworkParams,
 def coverage_curve(scheme: SchemeSpec, params: NetworkParams,
                    thresholds_db: Sequence[float]) -> CoverageCurve:
     """Evaluate the analytic coverage over a dB threshold grid."""
-    t = np.array([SinrThreshold.from_db(t_db).value for t_db in thresholds_db])
+    t = np.array([db_to_linear(t_db) for t_db in thresholds_db])
     values = fixed_rule(lambda coarse: analytic_coverage(scheme, params, t, coarse))
     return CoverageCurve(tuple(thresholds_db), tuple(values.tolist()))
 

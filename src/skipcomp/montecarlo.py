@@ -20,10 +20,12 @@ Two estimators share that generator.
   g_i = v_i^(-eta/2) and s = T/S; the coverage is exp(-s*nu)*L(s).  The
   serving gain S is g_1 (best), g_2 (skip) or g_2 + g_3 (skip-comp: the
   non-coherent joint signal |h_2 + h_3|^2 is exponential with that mean;
-  Tanbourgi et al., 2014); the interferers are the other BSs, less BS 1 under
-  IC.  The coherent joint signal (|h_2| + |h_3|)^2 is W*c(U) with W ~ Gamma(2)
-  and U ~ U(0, 1) independent, c(U) = (sqrt(g_2*U) + sqrt(g_3*(1-U)))^2, so a
-  coherent trial also draws U and takes S = c(U); as P(W > w) = (1 + w)e^-w,
+  Tanbourgi et al., 2014).  The interferers, in both estimators, are those of
+  ``_interferers``: the BSs past the serving and near ones, then the near BS
+  (BS 2 for best, else BS 1) unless IC cancels it.  The coherent joint signal
+  (|h_2| + |h_3|)^2 is W*c(U) with W ~ Gamma(2) and U ~ U(0, 1) independent,
+  c(U) = (sqrt(g_2*U) + sqrt(g_3*(1-U)))^2, so a coherent trial also draws U
+  and takes S = c(U); as P(W > w) = (1 + w)e^-w,
   its coverage is exp(-s*nu)*L(s) times 1 + s*nu + sum y_i/(1 + y_i)
   + v_K*y_K*c'(y_K), y_i = s*g_i (``trial_coverage``).  The estimate is the
   trial mean of these probabilities and its CI half-width 1.96*sd/sqrt(n), the
@@ -43,9 +45,9 @@ Two estimators share that generator.
   bias without bound as eta -> 2.  BSs 2 and 3 get complex Gaussian gains,
   which the coherent and non-coherent CoMP numerators need; every other BS
   gets an Exp(1) power.  ``SERVING`` names each variant's signal; its
-  interference is a sum of non-negative terms (BSs 1-3 that neither serve nor
-  are cancelled, then the tail beyond BS 3), never a difference, so a dominant
-  nearest BS cannot cancel the tail.  One realization serves every variant.
+  interference is a sum of non-negative terms (its ``_interferers`` among BSs
+  1-3, then the tail beyond BS 3), never a difference, so a dominant nearest
+  BS cannot cancel the tail.  One realization serves every variant.
 
 Randomness contract: trials are processed in fixed-size batches; batch b of a
 run with seed s (0 <= s < 2^63) uses an independent Philox counter-based
@@ -87,7 +89,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -176,6 +178,15 @@ SERVING = {
 }
 
 
+def _interferers(scheme: SchemeSpec, k: int) -> List[int]:
+    """The interfering BSs among the k nearest (0-based), the one interferer
+    rule of both estimators: those past the serving and near BSs, then the
+    near BS unless IC cancels it."""
+    serving, near = SERVING[scheme.association]
+    far = list(range(max(*serving, near) + 1, k))
+    return far if scheme.ic else far + [near]
+
+
 def _gains(params: NetworkParams, v: np.ndarray) -> Tuple[np.ndarray, float]:
     """Gains v^(-eta/2) of the BSs at v = pi*lambda*r^2, and the noise in the
     same unit, nu = sigma^2/(P*(pi*lambda)^(eta/2)), formed in log space: 0
@@ -205,11 +216,10 @@ def _batch_sinrs(params: NetworkParams, k: int, n: int,
         joint = {False: np.abs(h.sum(axis=1)) ** 2, True: np.abs(h).sum(axis=1) ** 2}
         parts = {}
         for s in VARIANTS:
-            serving, near = SERVING[s.association]
+            serving, _ = SERVING[s.association]
             signal = rx[serving[0]] if len(serving) == 1 else joint[s.coherent]
-            interferers = [rx[i] for i in range(3)
-                           if i not in serving and not (s.ic and i == near)]
-            parts[s.scheme_id] = signal, sum(interferers + [tail, nu])
+            parts[s.scheme_id] = signal, sum(
+                [rx[i] for i in _interferers(s, 3)] + [tail, nu])
     with np.errstate(over="ignore"):
         return {key: signal / den for key, (signal, den) in parts.items()}
 
@@ -252,9 +262,9 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
     (shape (m,)) or a column per trial (m, n): shape (m, n).  A coherent variant
     also takes each trial's U = X/(X + Y) ~ U(0, 1), X and Y the Exp(1) fading
     powers of BSs 2 and 3 (``u``, shape (n,))."""
-    serving_bs, near_bs = SERVING[scheme.association]
-    far = max(*serving_bs, near_bs) + 1  # the first BS that always interferes
     n, k = v.shape
+    rows = _interferers(scheme, k)
+    last = rows.index(k - 1)  # the row of the K-th BS
     mass = v[:, -1]  # mean BS count within r_K
     neg_mass = -mass
     gain, nu = _gains(params, v)
@@ -264,24 +274,22 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
         if scheme.coherent:  # c(U); the signal is W*c(U), W ~ Gamma(2)
             serving = (np.sqrt(gain[:, 1] * u) + np.sqrt(gain[:, 2] * (1.0 - u))) ** 2
         else:
-            serving = sum(gain[:, i] for i in serving_bs)
-        # Interference-to-signal gain ratios of the far BSs, one row per BS
-        # so that the product over them runs along contiguous rows.
-        ratio = np.divide(gain[:, far:].T, serving, out=np.empty((k - far, n)))
-        near = None if scheme.ic else gain[:, near_bs] / serving
+            serving = sum(gain[:, i] for i in SERVING[scheme.association][0])
+        # Interference-to-signal gain ratios, one row per interferer so that
+        # the product over them runs along contiguous rows.
+        ratio = gain.T[rows]
+        ratio /= serving
         noise = nu / serving if nu else None  # None: no noise terms at nu = 0
         x = np.empty_like(ratio)
         block = max(1, CHUNK_VALUES // n)  # thresholds per tail-kernel call
         for i, t in enumerate(thresholds):
             if i % block == 0:  # the tail exponents of the next block at once
                 tails = agg_exponent(params.eta, np.reshape(
-                    thresholds, (len(thresholds), -1))[i:i + block] * ratio[-1])
+                    thresholds, (len(thresholds), -1))[i:i + block] * ratio[last])
             tail = tails[i % block]
             np.multiply(ratio, t, out=x)
             x += 1.0
             den = np.multiply.reduce(x, axis=0)
-            if near is not None:  # the near BS is not cancelled
-                den *= 1.0 + t * near
             # exp(-t*nu/S - mass*tail)/den, written in place
             np.multiply(neg_mass, tail, out=out[i])
             if noise is not None:
@@ -295,10 +303,8 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
                 # tail, c = agg_exponent.  A zero probability stays 0.
                 x = np.reciprocal(x, out=x)
                 lead = (1.0 if noise is None else 1.0 + t * noise) \
-                    + (k - far - x.sum(axis=0)) \
-                    + (2.0 / params.eta) * mass * (tail + 1.0 - x[-1])
-                if near is not None:
-                    lead += 1.0 - 1.0 / (1.0 + t * near)
+                    + (len(rows) - x.sum(axis=0)) \
+                    + (2.0 / params.eta) * mass * (tail + 1.0 - x[last])
                 np.multiply(out[i], lead, out=out[i], where=out[i] > 0.0)
     return out
 

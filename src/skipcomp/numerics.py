@@ -49,7 +49,7 @@ def eta4_closed_form(eta: float) -> bool:
     return eta == 4.0
 
 
-PFAFF_MAX_X = 1.0  # hyp2f1_beta's branch edge: both branches run _gauss on [0, 1]
+CF_MAX_X = 1.0  # hyp2f1_beta's branch edge: both branches run _gauss on [0, 1]
 GAUSS_CF_LEVELS = 20  # the convergent F = A/B: A and B of degree 10
 
 
@@ -111,8 +111,8 @@ def hyp2f1_beta(beta: float, x) -> np.ndarray:
     """F(beta, x) = 2F1(1, beta; 1+beta; -x) for 0 < beta <= 2 and finite x >= 0
     (an array), to ~1e-15 relative; each value depends on beta and its x alone.
 
-    x <= PFAFF_MAX_X: F = A(x)/B(x), Gauss's continued fraction (``_gauss``).
-    x > PFAFF_MAX_X, by the 1/x connection formula:
+    x <= CF_MAX_X: F = A(x)/B(x), Gauss's continued fraction (``_gauss``).
+    x > CF_MAX_X, by the 1/x connection formula:
     F = beta * (pi/sin(pi*beta) x^-beta - sum_n (-1)^n x^-(n+1)/(n+1-beta)).
     With m the integer nearest beta and d = beta - m, the n = m-1 term's pole
     at integer beta cancels the sine's: together they are (-1)^m x^-m times
@@ -127,8 +127,8 @@ def hyp2f1_beta(beta: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     # The continued fraction over every value, clipped to its branch, then
     # the values beyond the edge replaced.
-    out = _gauss(beta, np.minimum(x, PFAFF_MAX_X))
-    far = x > PFAFF_MAX_X
+    out = _gauss(beta, np.minimum(x, CF_MAX_X))
+    far = x > CF_MAX_X
     xf = x[far]
     m = math.floor(beta + 0.5)
     d = beta - m

@@ -449,8 +449,9 @@ def test_csv_rows_match_per_cell_formatting():
 
 
 def test_csv_rows_match_per_cell_formatting_over_alternating_runs():
-    """Each run of rows with one cell-type sequence is formatted at once; a
-    row whose types differ from its neighbour's starts a new run."""
+    """Rows whose cell types change from one row to the next, as table1's
+    case and average rows and coverage's rows with and without MC cells do,
+    are each written cell by cell as a lone row would be."""
     case = [["skip", "case", 1.25, 1.2500001, 0.003],
             ["skip+ic", "case", 2.5, np.float64(2.4999), 1e-320]]
     average = [["skip", "skipping_average", 1.5, None, None],

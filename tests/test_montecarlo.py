@@ -480,6 +480,34 @@ def test_batch_sinrs_match_per_trial_reference(eta, noise):
             assert sinr[key][i] == pytest.approx(value, rel=1e-12), (key, i)
 
 
+#: Per variant, from the paper's definitions (BSs numbered from 1, nearest
+#: first): the first BS that interferes whatever the flags, every one after
+#: it interfering too, and the skipped or second BS that interferes unless
+#: IC cancels it (None when it is cancelled).  Best-connected is served by
+#: BS 1, skipping by BS 2 and cooperative skipping by BSs 2 and 3 jointly,
+#: coherently or not.
+INTERFERERS = {
+    "best": (3, 2),
+    "skip": (3, 1),
+    "skip+ic": (3, None),
+    "skip-comp": (4, 1),
+    "skip-comp+ic": (4, None),
+    "skip-comp+coh": (4, 1),
+    "skip-comp+ic+coh": (4, None),
+}
+
+
+@pytest.mark.parametrize("k", [3, K_COND])
+@pytest.mark.parametrize("scheme", VARIANTS, ids=lambda s: s.scheme_id)
+def test_interferers_follow_the_paper_definitions(scheme, k):
+    """The one interferer rule: the BSs past the serving and near ones, in
+    order, then the near BS unless cancelled; e.g. best BSs 3..k then 2,
+    skip+ic BSs 3..k, skip-comp BSs 4..k then 1."""
+    first, near = INTERFERERS[scheme.scheme_id]
+    want = [*range(first, k + 1)] + ([] if near is None else [near])
+    assert montecarlo._interferers(scheme, k) == [b - 1 for b in want]
+
+
 def test_no_cancellation_when_nearest_bs_dominates():
     """With a tiny r1 the skip-comp+ic interference is still the tail beyond
     BS 3 to full precision: it is never formed as total - t1 - t2 - t3."""
