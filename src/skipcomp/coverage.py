@@ -118,9 +118,12 @@ def _radial(k: int, a, b, eta: float, weight, coarse: bool):
         0.0, np.sqrt(top), W_NODES, coarse) * (1.0 / d) ** k
 
 
-def analytic_coverage(scheme: SchemeSpec, params: NetworkParams, t, coarse: bool):
+def analytic_coverage(scheme: SchemeSpec, params: NetworkParams, t, coarse: bool,
+                      u_nodes: Optional[int] = None):
     """Coverage at an array of linear thresholds t >= 0, before the check of
-    ``numerics.fixed_rule``, which sets coarse to halve every node count."""
+    ``numerics.fixed_rule``, which sets coarse to halve every node count.
+    Skip-comp integrates over ln(r2/r3) on u_nodes nodes, U_NODES (read at
+    call time) if None."""
     if scheme.coherent:
         raise CoherentNotAnalytic("coherent scheme is simulation-only")
     t, eta = np.asarray(t, dtype=float), params.eta
@@ -145,7 +148,7 @@ def analytic_coverage(scheme: SchemeSpec, params: NetworkParams, t, coarse: bool
         return _radial(3, a, noise, eta, 4.0 * np.exp(4.0 * x) * l1, coarse)
 
     p = gauss_legendre(integrand, peak - 12.0, np.minimum(0.0, peak + 20.0),
-                       U_NODES, coarse)
+                       U_NODES if u_nodes is None else u_nodes, coarse)
     return np.where(t == 0.0, 1.0, np.minimum(1.0, p))
 
 

@@ -98,11 +98,12 @@ from .coverage import CoverageCurve
 from .distances import sample_ordered_v
 from .model import (ANALYTIC_VARIANTS, VARIANTS, Association, NetworkParams,
                     SchemeSpec, db_to_linear)
-from .numerics import CHUNK_VALUES, agg_exponent, gauss_legendre
+from .numerics import agg_exponent, legendre_chunks
 
 K_COND = 4  # nearest BSs a conditional trial draws; the rest is the exact tail
 K_RAW = 500  # nearest BSs a raw trial draws; the rest is ignored
 MC_SE_NODES = 24  # Gauss-Legendre nodes per half of a trial's SE integral
+BLOCK_VALUES = 1 << 14  # (threshold, trial) values per trial_coverage block
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,10 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
     nearest BSs (shape (n, K), ascending), at each linear threshold, shared
     (shape (m,)) or a column per trial (m, n): shape (m, n).  A coherent variant
     also takes each trial's U = X/(X + Y) ~ U(0, 1), X and Y the Exp(1) fading
-    powers of BSs 2 and 3 (``u``, shape (n,))."""
+    powers of BSs 2 and 3 (``u``, shape (n,)).  The thresholds run in blocks
+    of max(1, BLOCK_VALUES // n), each as (block, interferers, n) array
+    operations that keep every cell's order of operations, so a cell's bits do
+    not depend on the block it is in."""
     n, k = v.shape
     rows = _interferers(scheme, k)
     last = rows.index(k - 1)  # the row of the K-th BS
@@ -280,22 +284,21 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
         ratio = gain.T[rows]
         ratio /= serving
         noise = nu / serving if nu else None  # None: no noise terms at nu = 0
-        x = np.empty_like(ratio)
-        block = max(1, CHUNK_VALUES // n)  # thresholds per tail-kernel call
-        for i, t in enumerate(thresholds):
-            if i % block == 0:  # the tail exponents of the next block at once
-                tails = agg_exponent(params.eta, np.reshape(
-                    thresholds, (len(thresholds), -1))[i:i + block] * ratio[last])
-            tail = tails[i % block]
-            np.multiply(ratio, t, out=x)
+        # One (threshold, trial) column per row of thresholds: (m, 1) or (m, n).
+        columns = np.reshape(thresholds, (len(thresholds), -1))
+        step = max(1, BLOCK_VALUES // n)  # thresholds per block
+        for i in range(0, len(thresholds), step):
+            t, o = columns[i:i + step], out[i:i + step]
+            tail = agg_exponent(params.eta, t * ratio[last])
+            x = t[:, None, :] * ratio  # (block, rows, n)
             x += 1.0
-            den = np.multiply.reduce(x, axis=0)
+            den = np.multiply.reduce(x, axis=1)
             # exp(-t*nu/S - mass*tail)/den, written in place
-            np.multiply(neg_mass, tail, out=out[i])
+            np.multiply(neg_mass, tail, out=o)
             if noise is not None:
-                out[i] -= t * noise
-            np.exp(out[i], out=out[i])
-            out[i] /= den
+                o -= t * noise
+            np.exp(o, out=o)
+            o /= den
             if scheme.coherent:
                 # P(W > sJ) = E[(1 + sJ)e^(-sJ)], J = I + nu: the factor is
                 # 1 - s*dlnE[e^(-sJ)]/ds, y/(1 + y) = 1 - 1/x of each
@@ -303,9 +306,9 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
                 # tail, c = agg_exponent.  A zero probability stays 0.
                 x = np.reciprocal(x, out=x)
                 lead = (1.0 if noise is None else 1.0 + t * noise) \
-                    + (len(rows) - x.sum(axis=0)) \
-                    + (2.0 / params.eta) * mass * (tail + 1.0 - x[last])
-                np.multiply(out[i], lead, out=out[i], where=out[i] > 0.0)
+                    + (len(rows) - x.sum(axis=1)) \
+                    + (2.0 / params.eta) * mass * (tail + 1.0 - x[:, last])
+                np.multiply(o, lead, out=o, where=o > 0.0)
     return out
 
 
@@ -384,22 +387,29 @@ def empirical_spectral_efficiencies(params: NetworkParams, sim: SimulationSpec
         lower = np.log(gain[:, 1]) - np.log(gain[:, 0])  # ln(g_2/g_1)
         g32 = (gain[:, 2] / gain[:, 1])[:, None]
 
-        def integrand(x: np.ndarray) -> np.ndarray:  # x = ln t, (n or 1, nodes)
+        def contracted(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+            # x = ln t, (n or 1, nodes): each variant's factor @ w, as formed
+            se = np.empty((len(ANALYTIC_VARIANTS), len(v)))
             with np.errstate(over="ignore"):  # t*g_1/g_2 or c inf: 1/(1 + inf) = 0
                 t = np.exp(x)
                 p = trial_coverage(params, ANALYTIC_VARIANTS[2], v, t.T).T
-                q = p / (1.0 + t)
+                # C order, as p is not: @ takes another BLAS kernel on a
+                # Fortran-ordered factor, which sums in another order.
+                q = np.divide(p, 1.0 + t, order="C")
                 r1 = 1.0 / (1.0 + np.exp(x - lower[:, None]))
-                f = np.empty((len(ANALYTIC_VARIANTS),) + p.shape)  # one per variant
-                np.multiply(q, 1.0 - r1, out=f[0])
-                np.multiply(q, t, out=f[2])
-                np.multiply(f[2], r1, out=f[1])
-                np.multiply(p * (1.0 - 1.0 / (1.0 + t * (1.0 + g32))),
-                            1.0 + t * g32, out=f[4])
-                np.multiply(f[4], r1, out=f[3])
-                return f
-        return sum(gauss_legendre(integrand, lo, hi, MC_SE_NODES)
-                   for lo, hi in ((lower - 40.0, 0.0), (0.0, upper)))
+                se[0] = q * (1.0 - r1) @ w
+                f = q * t
+                se[2] = f @ w
+                se[1] = f * r1 @ w
+                f = p * (1.0 - 1.0 / (1.0 + t * (1.0 + g32))) * (1.0 + t * g32)
+                se[4] = f @ w
+                se[3] = f * r1 @ w
+            return se
+
+        def integral(lo, hi) -> np.ndarray:
+            half, chunks = legendre_chunks(lo, hi, MC_SE_NODES)
+            return half * sum(contracted(x, w) for x, w in chunks)
+        return sum(integral(lo, hi) for lo, hi in ((lower - 40.0, 0.0), (0.0, upper)))
 
     mean, ci = _mean_and_ci((batch(v) for v, _ in _conditional_draws(sim)),
                             sim.trials, probabilities=False)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
@@ -200,16 +200,24 @@ CHUNK_VALUES = 1 << 16  # most values one gauss_legendre integrand call holds
 _legendre = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
-def gauss_legendre(f: Callable, lower, upper, n: int, coarse: bool = False):
-    """int_lower^upper f(x) dx on n Gauss-Legendre nodes (n // 2 if coarse),
-    elementwise over the bounds' broadcast shape; f gets the nodes along a new
-    last axis, at most CHUNK_VALUES values at a time."""
+def legendre_chunks(lower, upper, n: int, coarse: bool = False
+                    ) -> Tuple[np.ndarray, Iterator[Tuple[np.ndarray, np.ndarray]]]:
+    """(half, chunks) of n Gauss-Legendre nodes (n // 2 if coarse) on
+    [lower, upper], elementwise over the bounds' broadcast shape: chunks yields
+    (x, w), the nodes along a new last axis, at most CHUNK_VALUES values at a
+    time, and their weights, so int f = half * sum(f(x) @ w)."""
     x, w = _legendre(n // 2 if coarse else n)
     lower = np.asarray(lower, dtype=float)
     half = 0.5 * (np.asarray(upper, dtype=float) - lower)
     step = max(1, CHUNK_VALUES // max(1, half.size))
-    return half * sum(f(lower[..., None] + half[..., None] * (x[i:i + step] + 1.0))
-                      @ w[i:i + step] for i in range(0, len(x), step))
+    return half, ((lower[..., None] + half[..., None] * (x[i:i + step] + 1.0),
+                   w[i:i + step]) for i in range(0, len(x), step))
+
+
+def gauss_legendre(f: Callable, lower, upper, n: int, coarse: bool = False):
+    """int_lower^upper f(x) dx on the nodes of ``legendre_chunks``."""
+    half, chunks = legendre_chunks(lower, upper, n, coarse)
+    return half * sum(f(x) @ w for x, w in chunks)
 
 
 def fixed_rule(integral: Callable[[bool], np.ndarray]) -> np.ndarray:

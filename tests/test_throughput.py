@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from skipcomp import coverage as cov
 from skipcomp.coverage import CoherentNotAnalytic
 from skipcomp.model import (
     ANALYTIC_VARIANTS,
@@ -44,6 +46,18 @@ def test_spectral_efficiency_values(scheme, target):
 def test_spectral_efficiency_rejects_coherent():
     with pytest.raises(CoherentNotAnalytic):
         spectral_efficiency(SchemeSpec(Association.SKIP_COOP, coherent=True), NET)
+
+
+@pytest.mark.parametrize("eta", [2.5, 4.0, 6.0])
+@pytest.mark.parametrize("noise", [0.0, 1e3])
+def test_se_on_half_the_u_nodes_equals_all_of_them(eta, noise, monkeypatch):
+    # The SE integrates skip-comp's coverage on U_NODES // 2 nodes over
+    # ln(r2/r3); with U_NODES doubled it takes all of the original ones.
+    net = replace(NET, eta=eta, noise_power=noise)
+    half = [spectral_efficiency(s, net) for s in ANALYTIC_VARIANTS]
+    monkeypatch.setattr(cov, "U_NODES", 2 * cov.U_NODES)
+    full = [spectral_efficiency(s, net) for s in ANALYTIC_VARIANTS]
+    np.testing.assert_allclose(half, full, rtol=1e-12, atol=0.0)
 
 
 def test_skipping_averages():
