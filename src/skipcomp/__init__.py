@@ -9,7 +9,5 @@ from .model import (  # noqa: F401
     NetworkParams,
     OverheadParams,
     SchemeSpec,
-    SinrThreshold,
     db_to_linear,
-    linear_to_db,
 )

@@ -138,12 +138,17 @@ def _write(path: Optional[str], fmt: str, config: RunConfig,
                  ",".join(columns), *_csv_rows(rows)]
         text = "\n".join(lines) + "\n"
     else:
+        # Each float is the number its CSV cell prints, so both formats
+        # carry the same 10 significant digits.
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
         text = json.dumps(
             {
                 "version": __version__,
                 "config": config.as_dict(),
                 "columns": list(columns),
-                "rows": rows.tolist() if isinstance(rows, np.ndarray) else rows,
+                "rows": [[float(_cell(v)) if isinstance(v, float) else v
+                          for v in row] for row in rows],
             },
             sort_keys=True, indent=2,
         ) + "\n"
@@ -158,7 +163,8 @@ def _write(path: Optional[str], fmt: str, config: RunConfig,
 
 
 def _cell(value) -> str:
-    """A CSV cell: a float in ``%.10g``, None empty, anything else ``str()``."""
+    """A cell: a float in ``%.10g``, None empty, anything else ``str()``.
+    JSON writes a float as ``float()`` of its cell."""
     if isinstance(value, float):
         return "%.10g" % value
     return "" if value is None else str(value)
@@ -509,12 +515,15 @@ def build_parser() -> argparse.ArgumentParser:
 @cache
 def keep_freed_heap() -> bool:
     """Keep freed heap in the process, once per process: glibc's dynamic trim
-    threshold settles near 1 MiB while an MC batch's temporaries peak near
-    2.7 MiB, so each job would return them to the OS and page-fault them back
-    in.  Setting either threshold freezes glibc's dynamic adjustment of both,
-    so both are set.  table1's (5, 2000, 24) spectral-efficiency factors
-    (1.83 MiB) stay on the heap below the 4 MiB mmap threshold.  False, doing
-    nothing, where libc has no mallopt."""
+    threshold settles near 1 MiB while an MC job's temporaries peak near
+    2 MiB (4 MiB in table1), so each job would return them to the OS and
+    page-fault them back in.
+    Setting either threshold freezes glibc's dynamic adjustment of both, so
+    both are set: the mmap threshold would stay at 128 KiB, and each threshold
+    block's (block, interferers, n) array of ``montecarlo.trial_coverage``
+    (up to 4 * BLOCK_VALUES doubles, 512 KiB) would be mapped afresh.  Below
+    4 MiB they stay on the heap.  False, doing nothing, where libc has no
+    mallopt."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
         return False

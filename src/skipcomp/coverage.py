@@ -29,8 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (Association, NetworkParams, SchemeSpec, SinrThreshold,
-                    db_to_linear)
+from .model import Association, NetworkParams, SchemeSpec, db_to_linear
 from .numerics import agg_exponent, fixed_rule, gauss_legendre, nearest_lt
 
 U_NODES = 256  # Gauss-Legendre nodes over ln(r2/r3), for skip-comp,
@@ -152,19 +151,18 @@ def analytic_coverage(scheme: SchemeSpec, params: NetworkParams, t, coarse: bool
     return np.where(t == 0.0, 1.0, np.minimum(1.0, p))
 
 
-def _checked(scheme: SchemeSpec, params: NetworkParams,
-             t: SinrThreshold | float) -> float:
+def _checked(scheme: SchemeSpec, params: NetworkParams, t: float) -> float:
     t = _as_linear(t)
     return float(fixed_rule(lambda coarse: analytic_coverage(
         scheme, params, t, coarse)))
 
 
-def coverage_best(t: SinrThreshold | float, params: NetworkParams) -> float:
+def coverage_best(t: float, params: NetworkParams) -> float:
     """Coverage probability of the always-best-connected user."""
     return _checked(SchemeSpec(Association.BEST_CONNECTED), params, t)
 
 
-def coverage_blackout_nocoop(t: SinrThreshold | float, params: NetworkParams,
+def coverage_blackout_nocoop(t: float, params: NetworkParams,
                              ic: bool = False) -> float:
     """Coverage of a blackout user served by the second-nearest BS alone.
 
@@ -173,7 +171,7 @@ def coverage_blackout_nocoop(t: SinrThreshold | float, params: NetworkParams,
     return _checked(SchemeSpec(Association.SKIP_NO_COOP, ic), params, t)
 
 
-def coverage_blackout_coop(t: SinrThreshold | float, params: NetworkParams,
+def coverage_blackout_coop(t: float, params: NetworkParams,
                            ic: bool = False) -> float:
     """Coverage of a blackout user jointly served by BSs 2 and 3.
 
@@ -187,8 +185,7 @@ def coverage_blackout_coop(t: SinrThreshold | float, params: NetworkParams,
     return _checked(SchemeSpec(Association.SKIP_COOP, ic), params, t)
 
 
-def coverage(scheme: SchemeSpec, params: NetworkParams,
-             t: SinrThreshold | float) -> float:
+def coverage(scheme: SchemeSpec, params: NetworkParams, t: float) -> float:
     """Analytic blackout/serving coverage for one scheme at one threshold."""
     return _checked(scheme, params, t)
 
@@ -207,9 +204,7 @@ def best_connected_closed_form(t: float) -> float:
     return 1.0 / (1.0 + st * (math.pi / 2.0 - math.atan(1.0 / st)))
 
 
-def _as_linear(t: SinrThreshold | float) -> float:
-    if isinstance(t, SinrThreshold):
-        return t.value
+def _as_linear(t: float) -> float:
     if not (t >= 0):
         raise ValueError(f"threshold must be >= 0, got {t}")
     return float(t)

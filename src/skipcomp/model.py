@@ -133,25 +133,6 @@ VARIANTS = ANALYTIC_VARIANTS + tuple(
 )
 
 
-@dataclass(frozen=True)
-class SinrThreshold:
-    """SINR threshold as a linear power ratio."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (self.value > 0) or not math.isfinite(self.value):
-            raise ValueError(f"threshold must be positive and finite, got {self.value}")
-
-    @classmethod
-    def from_db(cls, t_db: float) -> "SinrThreshold":
-        return cls(db_to_linear(t_db))
-
-    @property
-    def db(self) -> float:
-        return linear_to_db(self.value)
-
-
 def db_to_linear(t_db: float) -> float:
     """Convert a dB value to a linear power ratio; ValueError unless the ratio
     is positive and finite (a finite dB value may over- or underflow)."""
@@ -162,13 +143,6 @@ def db_to_linear(t_db: float) -> float:
     if not (0.0 < x < math.inf):
         raise ValueError(f"{t_db:g} dB: no positive finite linear value")
     return x
-
-
-def linear_to_db(x: float) -> float:
-    """Convert a linear power ratio to dB."""
-    if not (x > 0) or not math.isfinite(x):
-        raise ValueError(f"linear ratio must be positive and finite, got {x}")
-    return 10.0 * math.log10(x)
 
 
 KMH_TO_KMS = 1.0 / 3600.0

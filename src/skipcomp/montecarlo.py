@@ -127,7 +127,6 @@ class SimulationResult:
 
     sinr: Dict[str, np.ndarray]
     spec: SimulationSpec
-    params: NetworkParams
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
@@ -233,7 +232,6 @@ def simulate(params: NetworkParams, spec: SimulationSpec) -> SimulationResult:
         sinr={s.scheme_id: np.concatenate([sinr[s.scheme_id] for sinr in batches])
               for s in VARIANTS},
         spec=spec,
-        params=params,
     )
 
 

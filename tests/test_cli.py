@@ -578,6 +578,30 @@ def test_json_rows_of_an_array_are_its_list(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--scheme", "skip-comp", "--mode", "both", "--tstep-db", "5"],
+    ["table1"]], ids=["coverage", "table1"])
+def test_json_floats_are_the_csv_cells(tmp_path, config_file, argv):
+    """One float rule for both formats: each JSON float is float() of the CSV
+    cell the same run prints, and every other JSON cell prints as that cell."""
+    argv = [*argv, "--config", config_file, "--out"]
+    assert run([*argv, str(tmp_path / "t.csv")]) == EXIT_OK
+    assert run([*argv, str(tmp_path / "t.json"), "--format", "json"]) == EXIT_OK
+    _, columns, csv_rows = read_rows(tmp_path / "t.csv")
+    doc = json.loads((tmp_path / "t.json").read_text())
+    assert doc["columns"] == columns
+    assert len(doc["rows"]) == len(csv_rows) > 0
+    floats = 0
+    for json_row, csv_row in zip(doc["rows"], csv_rows):
+        for value, cell in zip(json_row, csv_row, strict=True):
+            if isinstance(value, float):
+                floats += 1
+                assert value == float(cell), (value, cell)
+            else:
+                assert ("" if value is None else str(value)) == cell
+    assert floats >= 2 * len(csv_rows)
+
+
 def test_distance_dump(tmp_path, config_file):
     out = tmp_path / "d.csv"
     code = run(["distance", "--config", config_file, "--trials", "500",
@@ -1018,10 +1042,10 @@ def test_repeated_mc_job_does_not_page_fault(tmp_path):
 @pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
                     reason="the C library has no mallopt")
 def test_repeated_table1_does_not_page_fault(tmp_path):
-    """table1's (5, 2000, 24) factors stay below the mmap threshold and the
+    """table1's threshold blocks stay below the mmap threshold and the
     process keeps its freed heap, so from the third call on a repeated call
-    page-faults almost nowhere: ~6,000 minor faults each under glibc's
-    dynamic thresholds, 0-3 with the policy main sets."""
+    page-faults almost nowhere: ~5,000 minor faults each under glibc's
+    dynamic thresholds, 0-1 with the policy main sets."""
     argv = ["table1", "--trials", "4000", "--out", str(tmp_path / "t.csv")]
     repeats = minor_faults_per_call([argv] * 10)[2:]
     assert max(repeats) < 100, repeats

@@ -23,7 +23,7 @@ from skipcomp.coverage import (
 )
 from skipcomp.distances import joint_pdf_r2_r3
 from skipcomp.model import (
-    ANALYTIC_VARIANTS, Association, NetworkParams, SchemeSpec, SinrThreshold)
+    ANALYTIC_VARIANTS, Association, NetworkParams, SchemeSpec, db_to_linear)
 from skipcomp.numerics import agg_exponent, nearest_lt
 
 NET = NetworkParams(lambda_bs=70.0, eta=4.0)
@@ -264,7 +264,7 @@ TINY_COOP_ETA_2_1 = [(30.0, 2.82681246074898e-12), (35.0, 9.95640370117703e-14),
 
 @pytest.mark.parametrize("t_db,expected", TINY_COOP_ETA_2_1)
 def test_tiny_skip_comp_coverage_is_relatively_exact(t_db, expected):
-    got = coverage_blackout_coop(SinrThreshold.from_db(t_db), NetworkParams(eta=2.1))
+    got = coverage_blackout_coop(db_to_linear(t_db), NetworkParams(eta=2.1))
     assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 

@@ -9,13 +9,15 @@ each case (no name regenerates them all):
 """
 
 import os
+import subprocess
 import sys
 
 import pytest
 
 from skipcomp.cli import EXIT_OK, main
 
-DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+HERE = os.path.dirname(os.path.abspath(__file__))
+DATA = os.path.join(HERE, "data")
 CONFIG = os.path.join(DATA, "golden_config.json")
 NOISY = os.path.join(DATA, "noisy_config.json")  # eta = 4, noise 1e3 W
 
@@ -76,6 +78,47 @@ def test_output_matches_saved_bytes(name, tmp_path):
     assert main(CASES[name] + ["--out", str(out)]) == EXIT_OK
     with open(os.path.join(DATA, name), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+#: numpy SIMD dispatches other than the one it picks for the CPU, each as a
+#: NPY_DISABLE_CPU_FEATURES value: AVX-512 off, and AVX2 off too (numpy's
+#: X86_V2 baseline).  Each names only dispatch targets of numpy 2.4's x86-64
+#: wheels; numpy ignores a target the CPU lacks.
+DISPATCHES = {"no-avx512": "X86_V4 AVX512_ICL AVX512_SPR",
+              "x86-v2": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+
+#: Runs every case into the directory argv[1], after checking that the
+#: disabled features are off; exits 1 if a case fails.
+_RUN_CASES = """
+import os, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from test_golden import CASES
+from skipcomp.cli import EXIT_OK, main
+off = os.environ["NPY_DISABLE_CPU_FEATURES"].split()
+assert not any(__cpu_features__.get(f) for f in off), __cpu_features__
+sys.exit(any(main(argv + ["--out", os.path.join(sys.argv[1], name)]) != EXIT_OK
+             for name, argv in CASES.items()))
+"""
+
+
+@pytest.mark.parametrize("disabled", DISPATCHES.values(), ids=DISPATCHES)
+def test_saved_bytes_hold_at_other_simd_dispatches(disabled, tmp_path):
+    """Every case, run in one fresh process with some of numpy's SIMD kernels
+    turned off, writes the saved bytes: the output does not depend on which
+    float64 kernels numpy picks for the CPU."""
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+               PYTHONPATH=os.pathsep.join(
+                   [src, HERE, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _RUN_CASES, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    differ = []
+    for name in sorted(CASES):
+        with open(os.path.join(DATA, name), "rb") as fh:
+            if (tmp_path / name).read_bytes() != fh.read():
+                differ.append(name)
+    assert differ == []
 
 
 if __name__ == "__main__":
