@@ -16,9 +16,11 @@ import ctypes
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
-from typing import (Dict, List, Optional, Sequence, Tuple, Union,
+from itertools import chain
+from typing import (Dict, Iterator, List, Optional, Sequence, Tuple, Union,
                     get_type_hints)
 
 import numpy as np
@@ -131,18 +133,21 @@ def load_config(path: Optional[str], overrides: Dict) -> RunConfig:
 def _write(path: Optional[str], fmt: str, config: RunConfig,
            columns: Sequence[str],
            rows: Union[Sequence[Sequence], np.ndarray]) -> None:
+    """Write the table, each text followed by a newline.  CSV writes its
+    header, then each text of ``_csv_rows`` as it is formed, so no more than
+    one chunk of a float table is held as text."""
     if fmt == "csv":
         # No cell holds a comma, quote or newline, so a join is valid CSV.
-        lines = [f"# skipcomp {__version__}",
-                 f"# config: {json.dumps(config.as_dict(), sort_keys=True)}",
-                 ",".join(columns), *_csv_rows(rows)]
-        text = "\n".join(lines) + "\n"
+        header = [f"# skipcomp {__version__}",
+                  f"# config: {json.dumps(config.as_dict(), sort_keys=True)}",
+                  ",".join(columns)]
+        texts = chain(["\n".join(header)], _csv_rows(rows))
     else:
         # Each float is the number its CSV cell prints, so both formats
         # carry the same 10 significant digits.
         if isinstance(rows, np.ndarray):
             rows = rows.tolist()
-        text = json.dumps(
+        texts = [json.dumps(
             {
                 "version": __version__,
                 "config": config.as_dict(),
@@ -151,13 +156,13 @@ def _write(path: Optional[str], fmt: str, config: RunConfig,
                           for v in row] for row in rows],
             },
             sort_keys=True, indent=2,
-        ) + "\n"
+        )]
     try:
-        if path is None:
-            sys.stdout.write(text)
-        else:
-            with open(path, "w") as fh:
+        with (nullcontext(sys.stdout) if path is None
+              else open(path, "w")) as fh:
+            for text in texts:
                 fh.write(text)
+                fh.write("\n")
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
@@ -170,14 +175,14 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _csv_rows(rows: Union[Sequence[Sequence], np.ndarray]) -> List[str]:
+def _csv_rows(rows: Union[Sequence[Sequence], np.ndarray]) -> Iterator[str]:
     """The rows' CSV lines, each cell by ``_cell``.  A 2-D float array goes to
     `_float_table_texts`, which writes the same bytes, many lines a text."""
     if isinstance(rows, np.ndarray):
         if rows.size:
             return _float_table_texts(rows)
         rows = rows.tolist()
-    return [",".join(map(_cell, row)) for row in rows]
+    return (",".join(map(_cell, row)) for row in rows)
 
 
 # A float table's cells are formatted in numpy, FLOAT_CHUNK_ROWS rows at a
@@ -309,12 +314,12 @@ def _fast_cells(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return out, exact
 
 
-def _float_table_texts(table: np.ndarray) -> List[str]:
-    """_csv_rows' texts of a 2-D float array, one per FLOAT_CHUNK_ROWS rows:
-    `_fast_cells`, with ``_cell(x)`` written over each cell it leaves."""
+def _float_table_texts(table: np.ndarray) -> Iterator[str]:
+    """_csv_rows' texts of a 2-D float array, one per FLOAT_CHUNK_ROWS rows,
+    each formed when asked for: `_fast_cells`, with ``_cell(x)`` written over
+    each cell it leaves."""
     table = np.asarray(table, dtype=np.float64)
     ncol = table.shape[1]
-    texts = []
     for start in range(0, len(table), FLOAT_CHUNK_ROWS):
         chunk = table[start:start + FLOAT_CHUNK_ROWS]
         cells, exact = _fast_cells(chunk)
@@ -325,8 +330,7 @@ def _float_table_texts(table: np.ndarray) -> List[str]:
                 .encode().ljust(_CELL, b"\0")
                 for i, x in zip(left.tolist(), chunk.ravel()[left].tolist())
             ), np.uint8).reshape(-1, _CELL)
-        texts.append(cells.tobytes().translate(None, b"\0")[:-1].decode())
-    return texts
+        yield cells.tobytes().translate(None, b"\0")[:-1].decode()
 
 
 def _grid(lo: float, hi: float, step: float, what: str) -> List[float]:
@@ -515,12 +519,14 @@ def build_parser() -> argparse.ArgumentParser:
 @cache
 def keep_freed_heap() -> bool:
     """Keep freed heap in the process, once per process: glibc's dynamic trim
-    threshold settles near 1 MiB while an MC job's temporaries peak near
-    2 MiB (4 MiB in table1), so each job would return them to the OS and
-    page-fault them back in.
+    threshold settles near 1 MiB while a job's temporaries, each kernel's
+    few arrays of up to 4 * numerics.BLOCK_VALUES doubles, peak near 1.5 MiB
+    at any batch size (tracemalloc, default config, draws already kept:
+    table1 1.25 MiB, coherent coverage 1.46 MiB), so each job would return
+    them to the OS and page-fault them back in.
     Setting either threshold freezes glibc's dynamic adjustment of both, so
     both are set: the mmap threshold would stay at 128 KiB, and each threshold
-    block's (block, interferers, n) array of ``montecarlo.trial_coverage``
+    block's (block, interferers, n) array of ``montecarlo._coverage_blocks``
     (up to 4 * BLOCK_VALUES doubles, 512 KiB) would be mapped afresh.  Below
     4 MiB they stay on the heap.  False, doing nothing, where libc has no
     mallopt."""

@@ -82,6 +82,21 @@ ms on one, 24 ms on two; the seven coverage variants: 51 ms, 71 ms) and
 their interleaved temporaries lifted the heap's top.  A gain that overflows
 or turns subnormal, as at eta in the hundreds, raises FloatingPointError in
 the batch that meets it.
+
+Working set.  No kernel array grows with the batch size or the threshold
+grid: each holds at most a few times numerics.BLOCK_VALUES (2^14) values.
+A batch runs in trial slices: BLOCK_VALUES // K_COND = 4,096 trials
+for coverage, whose kernel (``_coverage_blocks``) forms max(1, BLOCK_VALUES
+// n) thresholds at a time and the estimator reduces each such block to its
+row sums and squared deviations as soon as it is formed; BLOCK_VALUES //
+MC_SE_NODES = 682 trials for the spectral efficiency, so each (slice,
+MC_SE_NODES) factor holds at most BLOCK_VALUES values.  ``_mean_and_ci``
+merges the slices exactly.  A batch no longer than a slice (the default
+2,000 trials in coverage) is reduced whole, so its bits are those of its
+(thresholds, trials) array; a longer one moves in the last bits.  The
+batch size sets the random stream and the size of a batch's draws (40 B a
+trial), nothing else: at batch_size 100,000 a fresh ``table1`` or coherent
+``coverage --mode mc`` peaks within 2 MB of its 2,000-trial peak.
 """
 
 from __future__ import annotations
@@ -93,7 +108,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import throughput
+from . import numerics, throughput
 from .coverage import CoverageCurve
 from .distances import sample_ordered_v
 from .model import (ANALYTIC_VARIANTS, VARIANTS, Association, NetworkParams,
@@ -103,7 +118,6 @@ from .numerics import agg_exponent, legendre_chunks
 K_COND = 4  # nearest BSs a conditional trial draws; the rest is the exact tail
 K_RAW = 500  # nearest BSs a raw trial draws; the rest is ignored
 MC_SE_NODES = 24  # Gauss-Legendre nodes per half of a trial's SE integral
-BLOCK_VALUES = 1 << 14  # (threshold, trial) values per trial_coverage block
 
 
 @dataclass(frozen=True)
@@ -253,24 +267,20 @@ def binomial_ci(phat: float, n: int) -> float:
     return 1.96 * math.sqrt(max(phat * (1.0 - phat), 1.0 / n) / n)
 
 
-def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
-                   thresholds: np.ndarray,
-                   u: Optional[np.ndarray] = None) -> np.ndarray:
-    """Each trial's coverage probability given v = pi*lambda*r^2 of its K
-    nearest BSs (shape (n, K), ascending), at each linear threshold, shared
-    (shape (m,)) or a column per trial (m, n): shape (m, n).  A coherent variant
-    also takes each trial's U = X/(X + Y) ~ U(0, 1), X and Y the Exp(1) fading
-    powers of BSs 2 and 3 (``u``, shape (n,)).  The thresholds run in blocks
-    of max(1, BLOCK_VALUES // n), each as (block, interferers, n) array
-    operations that keep every cell's order of operations, so a cell's bits do
-    not depend on the block it is in."""
+def _coverage_blocks(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
+                     thresholds: np.ndarray, u: Optional[np.ndarray] = None
+                     ) -> Iterator[Tuple[slice, np.ndarray]]:
+    """``trial_coverage`` one block of thresholds at a time: (rows, p), p the
+    (block, n) coverage at ``thresholds[rows]``, a block max(1, BLOCK_VALUES
+    // n) thresholds, each as (block, interferers, n) array operations that
+    keep every cell's order of operations, so a cell's bits do not depend on
+    the block it is in."""
     n, k = v.shape
     rows = _interferers(scheme, k)
     last = rows.index(k - 1)  # the row of the K-th BS
     mass = v[:, -1]  # mean BS count within r_K
     neg_mass = -mass
     gain, nu = _gains(params, v)
-    out = np.empty((len(thresholds), n))
     # A probability that underflows to 0 is exact.
     with np.errstate(over="ignore", under="ignore", invalid="raise"):
         if scheme.coherent:  # c(U); the signal is W*c(U), W ~ Gamma(2)
@@ -284,15 +294,15 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
         noise = nu / serving if nu else None  # None: no noise terms at nu = 0
         # One (threshold, trial) column per row of thresholds: (m, 1) or (m, n).
         columns = np.reshape(thresholds, (len(thresholds), -1))
-        step = max(1, BLOCK_VALUES // n)  # thresholds per block
+        step = max(1, numerics.BLOCK_VALUES // n)  # thresholds per block
         for i in range(0, len(thresholds), step):
-            t, o = columns[i:i + step], out[i:i + step]
+            t = columns[i:i + step]
             tail = agg_exponent(params.eta, t * ratio[last])
             x = t[:, None, :] * ratio  # (block, rows, n)
             x += 1.0
             den = np.multiply.reduce(x, axis=1)
             # exp(-t*nu/S - mass*tail)/den, written in place
-            np.multiply(neg_mass, tail, out=o)
+            o = neg_mass * tail
             if noise is not None:
                 o -= t * noise
             np.exp(o, out=o)
@@ -307,30 +317,68 @@ def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
                     + (len(rows) - x.sum(axis=1)) \
                     + (2.0 / params.eta) * mass * (tail + 1.0 - x[:, last])
                 np.multiply(o, lead, out=o, where=o > 0.0)
+            yield slice(i, i + step), o
+
+
+def trial_coverage(params: NetworkParams, scheme: SchemeSpec, v: np.ndarray,
+                   thresholds: np.ndarray,
+                   u: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each trial's coverage probability given v = pi*lambda*r^2 of its K
+    nearest BSs (shape (n, K), ascending), at each linear threshold, shared
+    (shape (m,)) or a column per trial (m, n): shape (m, n).  A coherent variant
+    also takes each trial's U = X/(X + Y) ~ U(0, 1), X and Y the Exp(1) fading
+    powers of BSs 2 and 3 (``u``, shape (n,)).  The blocks of
+    ``_coverage_blocks``, gathered."""
+    out = np.empty((len(thresholds), len(v)))
+    for rows, p in _coverage_blocks(params, scheme, v, thresholds, u):
+        out[rows] = p
     return out
 
 
+def _slices(n: int, size: int) -> Iterator[slice]:
+    """Slices of size trials (the last one shorter) of n."""
+    return (slice(i, i + size) for i in range(0, n, size))
+
+
+def _moments(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Per row of (rows, n) per-trial values: their sum and their squared
+    deviations from their mean, n*var; and n.  ``_mean_and_ci`` merges them."""
+    n = values.shape[1]
+    return values.sum(axis=1), values.var(axis=1) * n, n
+
+
 def conditional_batches(scheme: SchemeSpec, params: NetworkParams,
-                        sim: SimulationSpec,
-                        thresholds: np.ndarray) -> Iterator[np.ndarray]:
-    """``trial_coverage`` of each batch of the run, in order; only a coherent
-    variant reads the batch's U."""
-    return (trial_coverage(params, scheme, v, thresholds, u)
-            for v, u in _conditional_draws(sim))
+                        sim: SimulationSpec, thresholds: np.ndarray
+                        ) -> Iterator[Tuple[np.ndarray, np.ndarray, int]]:
+    """Per threshold, the ``_moments`` of each slice of BLOCK_VALUES // K_COND
+    trials of each batch of the run, in order.  Each threshold block is
+    reduced as soon as ``_coverage_blocks`` forms it, so no (thresholds,
+    trials) array is held; a row's reduction does not depend on the other
+    rows, so a batch no longer than a slice gives the bits of its whole
+    array.  Only a coherent variant reads the batch's U."""
+    for v, u in _conditional_draws(sim):
+        for trials in _slices(len(v), numerics.BLOCK_VALUES // K_COND):
+            part = v[trials]
+            total, m2 = np.empty(len(thresholds)), np.empty(len(thresholds))
+            for rows, p in _coverage_blocks(params, scheme, part, thresholds,
+                                            u[trials]):
+                total[rows], m2[rows], _ = _moments(p)
+            yield total, m2, len(part)
 
 
-def _mean_and_ci(batches: Iterator[np.ndarray], n: int,
+def _mean_and_ci(parts: Iterator[Tuple[np.ndarray, np.ndarray, int]], n: int,
                  probabilities: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Per row (a threshold or, for spectral efficiencies, a variant), the mean
-    of the per-trial values of ``batches`` (n trials in all) and its 95% CI
-    half-width 1.96*sd/sqrt(n).  For probabilities the variance is floored at
-    one trial as in ``binomial_ci``: n per-trial coverages cannot resolve a
-    mean below ~1/n.  Other values, as spectral efficiencies in nats, have no
-    such scale and take their sample variance."""
-    # Per batch: the sum of its values, their squared deviations from
-    # its mean and its trial count, merged exactly, so a run holds one batch.
-    parts = [(p.sum(axis=1), p.var(axis=1) * p.shape[1], p.shape[1])
-             for p in batches]
+    of the per-trial values whose ``_moments`` are ``parts`` (n trials in all)
+    and its 95% CI half-width 1.96*sd/sqrt(n).  For probabilities the variance
+    is floored at one trial as in ``binomial_ci``: n per-trial coverages cannot
+    resolve a mean below ~1/n.  Other values, as spectral efficiencies in nats,
+    have no such scale and take their sample variance."""
+    # The parts' sums and squared deviations from their own means, merged
+    # exactly (Chan, Golub and LeVeque, Am. Stat. 37(3), 1983): a run holds
+    # one trial slice at a time, whatever its batch size, which sets only the
+    # random stream.  A batch no longer than a slice is one part.
+    parts = list(parts)
     mean = sum(s for s, _, _ in parts) / n
     m2 = sum(dev + nb * (s / nb - mean) ** 2 for s, dev, nb in parts)
     var = m2 / max(n - 1, 1)
@@ -377,10 +425,11 @@ def empirical_spectral_efficiencies(params: NetworkParams, sim: SimulationSpec
     over ln t in [ln(g_2/g_1) - 40, 0] and [0, se_upper(eta)], MC_SE_NODES
     nodes each, times a factor per variant; with r_1 = 1/(1 + t*g_1/g_2) and
     c = t(1 + g_3/g_2): best (1 - r_1)/(1 + t), skip+ic t/(1 + t), skip-comp+ic
-    c/(1 + c)*(1 + t*g_3/g_2), and skip and skip-comp their IC forms' * r_1."""
+    c/(1 + c)*(1 + t*g_3/g_2), and skip and skip-comp their IC forms' * r_1.
+    A batch runs in slices of BLOCK_VALUES // MC_SE_NODES trials."""
     upper = throughput.se_upper(params.eta)
 
-    def batch(v: np.ndarray) -> np.ndarray:
+    def per_trial(v: np.ndarray) -> np.ndarray:
         gain, _ = _gains(params, v)
         lower = np.log(gain[:, 1]) - np.log(gain[:, 0])  # ln(g_2/g_1)
         g32 = (gain[:, 2] / gain[:, 1])[:, None]
@@ -409,7 +458,10 @@ def empirical_spectral_efficiencies(params: NetworkParams, sim: SimulationSpec
             return half * sum(contracted(x, w) for x, w in chunks)
         return sum(integral(lo, hi) for lo, hi in ((lower - 40.0, 0.0), (0.0, upper)))
 
-    mean, ci = _mean_and_ci((batch(v) for v, _ in _conditional_draws(sim)),
+    size = numerics.BLOCK_VALUES // MC_SE_NODES  # trials per slice
+    mean, ci = _mean_and_ci((_moments(per_trial(v[trials]))
+                             for v, _ in _conditional_draws(sim)
+                             for trials in _slices(len(v), size)),
                             sim.trials, probabilities=False)
     return {s: (float(m), float(c)) for s, m, c in zip(ANALYTIC_VARIANTS, mean, ci)}
 

@@ -126,10 +126,10 @@ def hyp2f1_beta(beta: float, x) -> np.ndarray:
         raise ValueError(f"beta must be in (0, 2], got {beta}")
     x = np.asarray(x, dtype=float)
     # The continued fraction over every value, clipped to its branch, then
-    # the values beyond the edge replaced.
+    # the values beyond the edge replaced, by their flat indices.
     out = _gauss(beta, np.minimum(x, CF_MAX_X))
-    far = x > CF_MAX_X
-    xf = x[far]
+    far = np.flatnonzero(x > CF_MAX_X)
+    xf = x.take(far)
     m = math.floor(beta + 0.5)
     d = beta - m
     # Over a, then over x: a*x may overflow.
@@ -143,7 +143,7 @@ def hyp2f1_beta(beta: float, x) -> np.ndarray:
     value = (-1.0) ** m * beta * (core - tail) / xf ** min(m, 1)
     if m == 2:  # the n = 0 term; x^-2 in two steps, as x^2 may overflow
         value = (value - beta / (1.0 - beta)) / xf
-    out[far] = value
+    out.put(far, value)
     return out[()]
 
 
@@ -196,7 +196,11 @@ def nearest_lt(eta: float, b):
     return lt[()]
 
 
-CHUNK_VALUES = 1 << 16  # most values one gauss_legendre integrand call holds
+#: Values per block of every array kernel: the nodes of a gauss_legendre
+#: integrand call, a montecarlo threshold block of (threshold, trial) values,
+#: a Monte Carlo trial slice times the values each trial holds.  It bounds
+#: their working set, whatever the node grid or batch size.
+BLOCK_VALUES = 1 << 14
 _legendre = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
@@ -204,12 +208,13 @@ def legendre_chunks(lower, upper, n: int, coarse: bool = False
                     ) -> Tuple[np.ndarray, Iterator[Tuple[np.ndarray, np.ndarray]]]:
     """(half, chunks) of n Gauss-Legendre nodes (n // 2 if coarse) on
     [lower, upper], elementwise over the bounds' broadcast shape: chunks yields
-    (x, w), the nodes along a new last axis, at most CHUNK_VALUES values at a
-    time, and their weights, so int f = half * sum(f(x) @ w)."""
+    (x, w), the nodes along a new last axis, and their weights, so
+    int f = half * sum(f(x) @ w).  A chunk holds at most BLOCK_VALUES values,
+    or one node, the bounds' size, where the bounds alone hold more."""
     x, w = _legendre(n // 2 if coarse else n)
     lower = np.asarray(lower, dtype=float)
     half = 0.5 * (np.asarray(upper, dtype=float) - lower)
-    step = max(1, CHUNK_VALUES // max(1, half.size))
+    step = max(1, BLOCK_VALUES // max(1, half.size))
     return half, ((lower[..., None] + half[..., None] * (x[i:i + step] + 1.0),
                    w[i:i + step]) for i in range(0, len(x), step))
 

@@ -162,17 +162,17 @@ def test_coherent_job_after_its_non_coherent_job(tmp_path, monkeypatch, ic):
     assert run(argv + ["--mode", "both", "--out", str(tmp_path / "nc.csv")]) \
         == EXIT_OK
     evaluated = []
-    unpatched = montecarlo.trial_coverage
+    unpatched = montecarlo._coverage_blocks
 
     def recorded(params, scheme, *args):
         evaluated.append(scheme)
         return unpatched(params, scheme, *args)
 
-    monkeypatch.setattr(montecarlo, "trial_coverage", recorded)
+    monkeypatch.setattr(montecarlo, "_coverage_blocks", recorded)
     assert run(coherent + ["--out", str(tmp_path / "after.csv")]) == EXIT_OK
     assert (tmp_path / "after.csv").read_bytes() \
         == (tmp_path / "alone.csv").read_bytes()
-    assert len(evaluated) == 3  # one call per batch of 2,000 trials
+    assert len(evaluated) == 3  # one call per batch of 2,000 trials, one slice
     assert all(s.coherent and s.ic == bool(ic) for s in evaluated)
 
 

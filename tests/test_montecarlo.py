@@ -205,7 +205,9 @@ def test_interleaved_runs_on_two_seeds_equal_fresh_runs():
         for out, run in zip(together, runs):
             out.append(next(run))
     for a, b in zip(together, alone):
-        assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert len(a) == len(b) and all(
+            np.array_equal(x, y) for part, kept in zip(a, b)
+            for x, y in zip(part, kept))
     assert {key[:2] for key in montecarlo._DRAW_MEMO} == {(2, 2000)}
 
 
@@ -225,15 +227,16 @@ def test_kept_draws_are_read_only():
 # --------------------------------------------------------------------------
 
 def count_evaluations(monkeypatch):
-    """The scheme ids ``trial_coverage`` is called for from now on."""
+    """The scheme ids the coverage kernel, ``_coverage_blocks``, is called
+    for from now on: once per slice of trials."""
     evaluated = []
-    unpatched = montecarlo.trial_coverage
+    unpatched = montecarlo._coverage_blocks
 
     def recorded(params, scheme, *args):
         evaluated.append(scheme.scheme_id)
         return unpatched(params, scheme, *args)
 
-    monkeypatch.setattr(montecarlo, "trial_coverage", recorded)
+    monkeypatch.setattr(montecarlo, "_coverage_blocks", recorded)
     return evaluated
 
 
@@ -630,6 +633,13 @@ def test_conditional_ci_is_at_least_one_trial():
             assert min(curve.ci_halfwidths) >= floor, scheme.scheme_id
 
 
+def per_trial(scheme, net, sim, t):
+    """Each batch's ``trial_coverage`` (thresholds, trials) on the run's
+    conditional draws, in order."""
+    return [trial_coverage(net, scheme, v, t, u)
+            for v, u in montecarlo._conditional_draws(sim)]
+
+
 def reference_trial_coverage(params, scheme, d2, t):
     """One trial's conditional coverage at linear threshold t, given its
     squared distances d2 in km^2, from the formula: a log1p sum over the
@@ -669,8 +679,15 @@ def test_conditional_batches_draw_only_the_nearest_distances(scheme, monkeypatch
 
     monkeypatch.setattr(montecarlo, "simulate", no_raw_run)
     monkeypatch.setattr(montecarlo, "_batch_rng", recorded)
-    batches = list(conditional_batches(scheme, net, sim, t))
+    parts = list(conditional_batches(scheme, net, sim, t))
+    batches = per_trial(scheme, net, sim, t)  # on the kept draws
     assert [p.shape for p in batches] == [(3, 100), (3, 100), (3, 50)]
+    # Each batch fits one slice: its moments are its whole array's, bit for bit.
+    assert len(parts) == len(batches)
+    for (total, m2, n), p in zip(parts, batches):
+        assert n == p.shape[1]
+        assert np.array_equal(total, p.sum(axis=1))
+        assert np.array_equal(m2, p.var(axis=1) * n)
     assert [b for b, _ in streams] == [0, 1, 2]
     for (b, used), p in zip(streams, batches):
         replay = rng(sim.seed, b)
@@ -685,8 +702,8 @@ def test_conditional_batches_draw_only_the_nearest_distances(scheme, monkeypatch
                     reference_trial_coverage(net, scheme, d2[j], ti), rel=1e-10)
 
     montecarlo._DRAW_MEMO.clear()  # the prefix property, not the memo
-    first_two = list(conditional_batches(
-        scheme, net, SimulationSpec(trials=200, seed=17, batch_size=100), t))
+    first_two = per_trial(
+        scheme, net, SimulationSpec(trials=200, seed=17, batch_size=100), t)
     for a, b in zip(first_two, batches):
         assert np.array_equal(a, b)
     curve = empirical_coverage(scheme, net, sim, [-10.0, 0.0, 10.0])
@@ -824,8 +841,8 @@ def test_coherent_is_max_of_conditional_and_raw_share(scheme, monkeypatch):
     t = 10.0 ** (np.array(grid) / 10.0)
     base = SchemeSpec(Association.SKIP_COOP, ic=scheme.ic)
     curve = empirical_coverage(scheme, net, sim, grid)
-    coh = np.concatenate(list(conditional_batches(scheme, net, sim, t)), axis=1)
-    nc = np.concatenate(list(conditional_batches(base, net, sim, t)), axis=1)
+    coh = np.concatenate(per_trial(scheme, net, sim, t), axis=1)
+    nc = np.concatenate(per_trial(base, net, sim, t), axis=1)
     for b, start in enumerate(range(0, sim.trials, sim.batch_size)):
         g = rng(sim.seed, b)
         n = min(sim.batch_size, sim.trials - start)

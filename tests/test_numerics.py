@@ -208,7 +208,7 @@ def test_gauss_legendre_integrates_over_array_bounds_in_chunks(monkeypatch):
     # 3 nodes per chunk: the rule must not depend on how the nodes are split.
     upper = np.array([[0.5, 1.0, 2.0]])
     whole = gauss_legendre(np.exp, 0.0, upper, 64)
-    monkeypatch.setattr("skipcomp.numerics.CHUNK_VALUES", 9)
+    monkeypatch.setattr("skipcomp.numerics.BLOCK_VALUES", 9)
     chunked = gauss_legendre(np.exp, 0.0, upper, 64)
     assert whole.shape == (1, 3)
     np.testing.assert_allclose(whole, np.expm1(upper), rtol=1e-15)
