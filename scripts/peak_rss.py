@@ -8,8 +8,10 @@ Each command runs in a new interpreter (``python -m skipcomp``, with this
 checkout's ``src/`` first on PYTHONPATH) at the default 100,000 trials, its
 table written to the null device.  A command's peak is the child's
 ``ru_maxrss`` from ``os.wait4`` (KiB on Linux), printed in MB (1e6 bytes)
-with its wall time.  The ``distance`` lines do not depend on the batch size
-and are printed once.
+with its wall time.  The lines that do not depend on the batch size are
+printed once: the ``distance`` dumps, and the analytic skip-comp coverage and
+throughput at eta = 30, whose cost is building the Gauss-Legendre rules
+(256 and 128 nodes; 2,240 and 1,120 for the SE at eta = 30).
 """
 
 from __future__ import annotations
@@ -28,8 +30,12 @@ COMMANDS = {
                              "--mode", "mc"],
     "coverage both": ["coverage", "--scheme", "skip-comp", "--mode", "both"],
 }
-DISTANCES = {f"distance --trials {n}": ["distance", "--trials", str(n)]
-             for n in (10_000, 100_000)}
+ONCE = {
+    "coverage analytic": ["coverage", "--scheme", "skip-comp", "--mode", "analytic"],
+    "throughput --eta 30": ["throughput", "--eta", "30"],
+    **{f"distance --trials {n}": ["distance", "--trials", str(n)]
+       for n in (10_000, 100_000)},
+}
 
 
 def peak(argv):
@@ -55,7 +61,7 @@ def main(argv):
                 json.dump({"batch_size": size}, fh)
             runs += [(f"{name}, batch_size {size}", [*cmd, "--config", config])
                      for name, cmd in COMMANDS.items()]
-        runs += list(DISTANCES.items())
+        runs += list(ONCE.items())
         for name, cmd in runs:
             mb, wall, code = peak(cmd)
             failed += code != 0

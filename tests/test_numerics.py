@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from oracles import OracleError, integrate_ordered_2d, integrate_ordered_3d, quad
+from skipcomp import numerics
 from skipcomp.checks import ETA4_REFERENCE
+from skipcomp.cli import EXIT_NUMERIC, main
 from skipcomp.distances import joint_pdf_r123, joint_pdf_r2_r3, marginal_pdf_r1
 from skipcomp.numerics import (
     QuadratureError,
+    _legendre,
     agg_exponent,
     fixed_rule,
     gauss_legendre,
@@ -235,3 +241,107 @@ def test_integrate_ordered_2d_keeps_its_inner_errors():
     with pytest.raises(OracleError):
         integrate_ordered_2d(
             lambda y, z: math.exp(-z) / z * math.sin(z / y) if y > 0 else 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 24, 64, 128, 224, 256, 384])
+def test_legendre_nodes_are_leggauss_nodes(n):
+    # numpy's eigenvalue rule is the oracle here only.  The bound is 2 ulps
+    # of the largest nodes: near 0 the recurrence's absolute error, ~1e-18,
+    # is a few ulps of the node itself.
+    x, w = _legendre(n)
+    expected, _ = np.polynomial.legendre.leggauss(n)
+    assert np.all(np.abs(x - expected) <= 2.0 * np.spacing(0.5))
+    assert np.all(np.diff(x) > 0.0)
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_legendre_rule_integrates_even_powers_exactly(n):
+    x, w = _legendre(n)
+    assert w.sum() == pytest.approx(2.0, rel=4e-16)
+    for k in range(n):  # x^(2k), 2k <= 2n - 1
+        assert w @ x ** (2 * k) == pytest.approx(2.0 / (2 * k + 1), rel=2e-15)
+
+
+#: n: (weight of the nodes nearest -1 and 1, weight of the node(s) nearest
+#: 0), in mpmath at 50 digits from Newton on P_n's three-term recurrence.
+#: Regenerated, and every entry that differs printed, by
+#:
+#:     PYTHONPATH=src python tests/test_numerics.py
+LEGENDRE_WEIGHTS_MPMATH = {
+    24: ("0.01234122979998719954680566707", "0.127938195346752156974056165225"),
+    256: ("0.00011278901782227217551253887725", "0.0122476716402897559040703264897"),
+    384: ("5.01941034869217375293958044447e-5", "0.00817051698671111073998031695778"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LEGENDRE_WEIGHTS_MPMATH))
+def test_legendre_weights_match_mpmath(n):
+    # numpy's leggauss is 2.1e-11 off at n = 256 and 3.9e-10 at n = 384.
+    edge, middle = map(float, LEGENDRE_WEIGHTS_MPMATH[n])
+    _, w = _legendre(n)
+    got = [w[0], w[-1], w[(n - 1) // 2], w[n // 2]]
+    assert got == pytest.approx([edge, edge, middle, middle], rel=1e-12, abs=0.0)
+
+
+def test_unconverged_legendre_nodes_raise(monkeypatch, tmp_path):
+    monkeypatch.setattr(numerics, "LEGENDRE_MAX_SWEEPS", 1)
+    with pytest.raises(QuadratureError):
+        _legendre.__wrapped__(256)
+    np.testing.assert_array_equal(_legendre.__wrapped__(1), ([0.0], [2.0]))
+    _legendre.cache_clear()  # so the CLI builds its rules under the cap
+    assert main(["coverage", "--scheme", "skip-comp", "--mode", "analytic",
+                 "--out", str(tmp_path / "x.csv")]) == EXIT_NUMERIC
+
+
+def test_analytic_commands_do_not_import_numpy_polynomial(tmp_path):
+    # The rules are built without numpy.polynomial (or its LAPACK
+    # eigensolver), which costs start-up time and memory to import.
+    script = f"""
+import sys
+from skipcomp.cli import main
+for argv in (["coverage", "--scheme", "skip-comp", "--mode", "both"],
+             ["table1", "--trials", "2000"]):
+    assert main(argv + ["--out", {str(tmp_path / "x.csv")!r}]) == 0, argv
+assert "numpy.polynomial" not in sys.modules
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+if __name__ == "__main__":
+    import mpmath  # not a dependency of the tests themselves
+
+    mpmath.mp.dps = 50
+
+    def weight(n, i):
+        """The weight of the i-th largest root of P_n, from cos(pi(4i-1)/(4n+2))."""
+        x = mpmath.cos(mpmath.pi * (4 * i - 1) / (4 * n + 2))
+        for _ in range(100):
+            prev, p = mpmath.mpf(1), x
+            for k in range(2, n + 1):
+                prev, p = p, ((2 * k - 1) * x * p - (k - 1) * prev) / k
+            dp = n * (prev - x * p) / (1 - x * x)
+            step = p / dp
+            x -= step
+            if abs(step) < mpmath.mpf(10) ** -45:
+                break
+        return 2 / ((1 - x * x) * dp * dp)
+
+    differ = 0
+    for n, refs in LEGENDRE_WEIGHTS_MPMATH.items():
+        for i, ref in zip((1, (n + 1) // 2), refs):
+            new = mpmath.nstr(weight(n, i), 30, min_fixed=-5)
+            if new != ref:
+                differ += 1
+                print(f"LEGENDRE_WEIGHTS_MPMATH[{n}] node {i}: {ref} -> {new}")
+    print(f"{differ} entries differ")
+    sys.exit(1 if differ else 0)
